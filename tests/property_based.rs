@@ -1152,7 +1152,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The fused scan→aggregate pipeline must answer value-identically to
     /// the naive scalar group-by oracle end-to-end through the session
@@ -1161,9 +1161,18 @@ proptest! {
     /// index-vector layouts, random function subsets, optional group-by,
     /// and random (possibly empty or inverted) predicate ranges — including
     /// negative values and the pinned *wrapping* i64 sum semantics.
+    ///
+    /// Degenerate shapes ride along: empty tables and tables with fewer rows
+    /// than placement parts, IN-lists naming values absent from the
+    /// dictionary, the same predicate as a plain scan against a plain
+    /// filter, and a zero deadline — which answers the oracle or a typed
+    /// `DeadlineExceeded`, never a wrong result, and leaves the session
+    /// serving the next statement correctly.
     #[test]
     fn fused_aggregation_matches_the_scalar_oracle(
-        rows in 200usize..2_400,
+        rows in 0usize..2_400,
+        tiny in any::<bool>(),
+        in_list in any::<bool>(),
         seed in any::<u64>(),
         placement_pick in 0u8..3,
         shared in any::<bool>(),
@@ -1176,10 +1185,14 @@ proptest! {
         value_magnitude in 1i64..1_000_000,
     ) {
         use numascan::core::{
-            oracle_aggregate, AggFunc, AggSpec, NativeEngine, NativeEngineConfig,
+            oracle_aggregate, AggFunc, AggSpec, EngineError, NativeEngine, NativeEngineConfig,
             NativePlacement, ScanRequest, SessionManager, SharedScanConfig, SharedScanMode,
         };
         use numascan::storage::{ColumnId, TableBuilder};
+
+        // Half the cases shrink to 0..5 rows: empty tables and tables with
+        // fewer rows than the placement has parts.
+        let rows = if tiny { rows % 5 } else { rows };
 
         // Seeded table: a filter column over a small domain (so random
         // ranges hit every selectivity including none/all), a value column
@@ -1211,7 +1224,14 @@ proptest! {
         if group_cardinality > 1 {
             spec = spec.with_group_by("group");
         }
-        let request = ScanRequest::between("filter", lo, lo + width).with_aggregate(spec.clone());
+        // The filter domain is 0..140: an IN-list mixes values inside it
+        // with values the dictionary never saw.
+        let scan = if in_list {
+            ScanRequest::in_list("filter", vec![lo, lo + width, 140, -7, lo.rem_euclid(140)])
+        } else {
+            ScanRequest::between("filter", lo, lo + width)
+        };
+        let request = scan.clone().with_aggregate(spec.clone());
 
         let placement = match placement_pick {
             0 => NativePlacement::RoundRobin,
@@ -1239,14 +1259,33 @@ proptest! {
         let got = session.execute(&request).expect("known columns").into_aggregate();
         let expected = oracle_aggregate(&table, "filter", &request.predicate(), &spec);
         prop_assert_eq!(
-            got,
-            expected,
+            &got,
+            &expected,
             "fused aggregation diverged under placement {:?} shared {} rle {} chunk {}",
             placement,
             shared,
             rle,
             chunk_rows
         );
+
+        // The same predicate as a plain scan answers exactly a plain filter.
+        let keep = |v: &i64| match &scan.spec {
+            numascan::core::ScanSpec::Between { lo, hi } => (*lo..=*hi).contains(v),
+            numascan::core::ScanSpec::InList { values } => values.contains(v),
+        };
+        let filtered: Vec<i64> = filter.iter().copied().filter(keep).collect();
+        let rows_got = session.execute(&scan).expect("known columns").into_rows();
+        prop_assert_eq!(&rows_got, &filtered, "plain scan diverged for {:?}", scan.spec);
+
+        // A zero deadline answers the oracle or a typed expiry, and the
+        // session keeps serving correct results afterwards.
+        let expiring = request.clone().with_deadline(std::time::Duration::ZERO);
+        match session.execute(&expiring) {
+            Ok(result) => prop_assert_eq!(result.into_aggregate(), expected.clone()),
+            Err(err) => prop_assert_eq!(err, EngineError::DeadlineExceeded),
+        }
+        let again = session.execute(&request).expect("known columns").into_aggregate();
+        prop_assert_eq!(again, expected, "statement after an expired one diverged");
         session.shutdown();
     }
 }
