@@ -21,42 +21,49 @@ pub fn granularities() -> Vec<usize> {
 
 /// Regenerates Figure 12.
 pub fn run(scale: &ExperimentScale) -> Vec<ResultTable> {
-    // The over-partitioning penalty appears once the concurrency is high
-    // relative to the machine (the paper uses 1024 clients on 1920 hardware
-    // contexts); clamp the client count up accordingly even at quick scale.
-    let topology = Topology::thirty_two_socket_ivybridge_ex();
-    let clients = scale.high_concurrency.max(topology.total_contexts() / 2);
+    let clients = clients(scale);
     let mut table = ResultTable::new(
         "fig12",
         format!("32-socket server, {clients} clients: throughput (q/min) by scheduling strategy and IVP granularity"),
         &["placement", "OS", "Target", "Bound"],
     );
     for parts in granularities() {
-        let placement = if parts == 1 {
-            PlacementStrategy::RoundRobin
-        } else {
-            PlacementStrategy::IndexVectorPartitioned { parts }
-        };
-        let base = ScanRunConfig {
-            topology: Topology::thirty_two_socket_ivybridge_ex(),
-            placement,
-            clients,
-            ..ScanRunConfig::new(clients)
-        };
-        let (mut machine, catalog) = build_machine_and_catalog(&base, scale);
-        let mut row = vec![placement.label()];
-        for strategy in SchedulingStrategy::ALL {
-            let report = run_scan_on(
-                &mut machine,
-                &catalog,
-                &ScanRunConfig { strategy, ..base.clone() },
-                scale,
-            );
-            row.push(fmt(report.throughput_qpm));
-        }
-        table.push_row(row);
+        table.push_row(row(scale, parts));
     }
     vec![table]
+}
+
+/// The over-partitioning penalty appears once the concurrency is high
+/// relative to the machine (the paper uses 1024 clients on 1920 hardware
+/// contexts); clamp the client count up accordingly even at quick scale.
+fn clients(scale: &ExperimentScale) -> usize {
+    scale.high_concurrency.max(Topology::thirty_two_socket_ivybridge_ex().total_contexts() / 2)
+}
+
+/// One row of Figure 12 — placement label, then OS, Target and Bound
+/// throughput — for `parts`-way IVP (1 is RR). Each row builds its own
+/// machine, so a row computed alone matches the same row of the full figure.
+pub fn row(scale: &ExperimentScale, parts: usize) -> Vec<String> {
+    let placement = if parts == 1 {
+        PlacementStrategy::RoundRobin
+    } else {
+        PlacementStrategy::IndexVectorPartitioned { parts }
+    };
+    let clients = clients(scale);
+    let base = ScanRunConfig {
+        topology: Topology::thirty_two_socket_ivybridge_ex(),
+        placement,
+        clients,
+        ..ScanRunConfig::new(clients)
+    };
+    let (mut machine, catalog) = build_machine_and_catalog(&base, scale);
+    let mut row = vec![placement.label()];
+    for strategy in SchedulingStrategy::ALL {
+        let report =
+            run_scan_on(&mut machine, &catalog, &ScanRunConfig { strategy, ..base.clone() }, scale);
+        row.push(fmt(report.throughput_qpm));
+    }
+    row
 }
 
 #[cfg(test)]
@@ -73,23 +80,25 @@ mod tests {
             max_queries: 600,
             max_virtual_seconds: 20.0,
         };
-        let t = &run(&scale)[0];
+        // Only the RR and IVP32 rows are asserted on, so only they are run.
+        let throughputs = |parts| -> Vec<f64> {
+            row(&scale, parts)[1..].iter().map(|cell| cell.parse().unwrap()).collect()
+        };
+        let (rr, ivp32) = (throughputs(1), throughputs(32));
+        let (rr_os, rr_target, rr_bound) = (rr[0], rr[1], rr[2]);
         // Bound >= Target for RR, by a sizeable margin (the paper reports 58%).
-        let rr_target = t.cell_f64("RR", "Target").unwrap();
-        let rr_bound = t.cell_f64("RR", "Bound").unwrap();
         assert!(
             rr_bound > 1.2 * rr_target,
             "Bound {rr_bound} should clearly beat Target {rr_target} for RR"
         );
         // Partitioning across all 32 sockets is much slower than RR under
         // Bound (the paper reports ~70%).
-        let ivp32_bound = t.cell_f64("IVP32", "Bound").unwrap();
+        let ivp32_bound = ivp32[2];
         assert!(
             ivp32_bound < 0.7 * rr_bound,
             "IVP32 {ivp32_bound} should lose substantially to RR {rr_bound}"
         );
         // OS is the worst strategy for RR.
-        let rr_os = t.cell_f64("RR", "OS").unwrap();
         assert!(rr_os < rr_bound);
     }
 }

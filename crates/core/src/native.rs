@@ -4,18 +4,33 @@
 //! server"; [`NativeEngine`] answers "run this query for real". It combines
 //! the storage layer (`numascan-storage`) with the NUMA-aware thread pool
 //! (`numascan-scheduler`): every column carries a *placement* — a list of
-//! row-range parts, each assigned to a (virtual) socket — scans are split
-//! into tasks according to the concurrency hint *aligned to that placement*
-//! (each task's range falls wholly inside one part, Section 5.2), every task
-//! carries the affinity of its part's socket, and the configured scheduling
-//! strategy plus the bandwidth-aware steal throttle decide whether those
-//! affinities are soft or hard.
+//! row-range parts, each assigned to a (virtual) socket.
+//!
+//! Every statement, scan or fused aggregate, goes through one pipeline
+//! behind [`NativeEngine::execute`]:
+//!
+//! 1. **plan** — resolve the columns, snapshot the placement, encode the
+//!    predicate once per part, drop the parts whose zone maps rule out a
+//!    match, and record the demand-side telemetry;
+//! 2. **execute** — either split the surviving parts into
+//!    concurrency-hint-many private tasks *aligned to the placement* (each
+//!    task's range falls wholly inside one part and carries the affinity of
+//!    its part's socket, Section 5.2), or, once the hint stops granting
+//!    intra-statement parallelism, attach to each part's cooperative shared
+//!    sweep ([`crate::shared`]);
+//! 3. **sink** — materialize the qualifying values in row order, or fold
+//!    them into dense partial aggregation tables; private outputs reduce in
+//!    chunk order, shared chunks fold in global row order.
+//!
+//! The configured scheduling strategy plus the bandwidth-aware steal
+//! throttle decide whether task affinities are soft or hard.
 //!
 //! The engine closes the adaptive loop of Section 7 on real threads:
 //!
-//! * every scan task reports the index-vector bytes it streams, attributed to
-//!   the socket the data lives on; the counters aggregate per socket (the
-//!   utilization signal) and per column (the heat signal);
+//! * every statement's plan records the index-vector bytes of the parts it
+//!   will stream, attributed to the socket the data lives on; the counters
+//!   aggregate per socket (the utilization signal) and per column (the heat
+//!   signal);
 //! * [`NativeEngine::take_epoch`] snapshots and resets those counters into
 //!   the exact inputs [`AdaptiveDataPlacer::decide`] consumes;
 //! * [`NativeEngine::apply_action`] executes the decision *on the live
@@ -41,26 +56,22 @@ use numascan_scheduler::{
     StealThrottleConfig, TaskMeta, TaskPriority, ThreadPool, WorkClass,
 };
 use numascan_storage::{
-    scan_positions_with_estimate, ColumnId, DictColumn, EncodedPredicate, IvLayoutKind,
-    PhysicalPartitioning, Predicate, Table,
+    materialize_positions, scan_positions_with_estimate, ColumnId, DictColumn, EncodedPredicate,
+    IvLayoutKind, PhysicalPartitioning, Table,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::adaptive::{AdaptiveDataPlacer, ColumnHeat, PartLayoutStat, PlacerAction};
 use crate::aggregate::{
-    accumulate_filtered, accumulate_positions, dense_group_capacity, AggSpec, AggTable,
-    GroupAccumulator, RowReader,
+    accumulate_filtered, accumulate_positions, dense_group_capacity, GroupAccumulator, RowReader,
 };
 use crate::error::EngineError;
 use crate::query::ColumnRef;
 use crate::session::{QueryResult, ScanRequest};
 use crate::shared::{
-    PartAttachSpec, SharedCollector, SharedScanConfig, SharedScanMode, SharedScanRegistry,
-    SharedScanStats, SweepKey,
+    ChunkRef, PartAttachSpec, SharedCollector, SharedScanConfig, SharedScanMode,
+    SharedScanRegistry, SharedScanStats, SweepKey,
 };
-
-/// Per-task output: the task's chunk index and the values it materialized.
-type TaskChunks = Vec<(usize, Vec<i64>)>;
 
 /// How the engine initially spreads each column's rows over sockets,
 /// mirroring the three data placement strategies of Section 4.2.
@@ -148,8 +159,63 @@ impl ColumnPlacement {
     }
 }
 
+/// One placement part that survived planning: everything a private task or
+/// a shared attachment needs, computed once per statement.
+struct PlannedPart {
+    /// Index of the part in the column's placement (keys its shared sweep).
+    index: usize,
+    /// The socket whose memory holds the part.
+    socket: SocketId,
+    /// Global row range of the base table the part covers.
+    rows: Range<usize>,
+    /// The filter column.
+    column_id: ColumnId,
+    /// The physically rebuilt part column, if any (`None` = base column).
+    data: Option<Arc<DictColumn<i64>>>,
+    /// `rows.start` in the scanned column's coordinates: the global start for
+    /// base-column parts, 0 for rebuilt parts.
+    local_base: usize,
+    /// Encoded once per part (PP parts carry their own dictionaries) and
+    /// shared by every task and attachment — an IN-list's vid payload is
+    /// never deep-cloned per task.
+    encoded: Arc<EncodedPredicate>,
+    /// Index-vector bytes of one full pass over the part.
+    bytes: u64,
+    /// Uniform-frequency selectivity estimate against the part's dictionary.
+    selectivity: f64,
+}
+
+impl PlannedPart {
+    /// The column the part scans.
+    fn column<'a>(&'a self, table: &'a Table) -> &'a DictColumn<i64> {
+        self.data.as_deref().unwrap_or_else(|| table.column(self.column_id))
+    }
+
+    /// What to add to a scanned position to reach the global base-table row.
+    fn row_offset(&self) -> usize {
+        self.rows.start - self.local_base
+    }
+}
+
+/// One statement's plan, consumed by either execution path.
+struct PartPlan {
+    column_id: ColumnId,
+    /// Placement generation of the snapshot the parts come from.
+    generation: u64,
+    /// The statement's scheduling epoch (task priorities order by it).
+    epoch: u64,
+    /// Parts in the placement snapshot, pruned or not: routing and task
+    /// splitting count these.
+    placement_parts: usize,
+    /// Surviving parts, in row order.
+    parts: Vec<Arc<PlannedPart>>,
+    /// The gather side of an aggregate statement.
+    target: Option<AggTarget>,
+}
+
 /// The gather side of one aggregate statement, resolved once and shared by
 /// both execution paths.
+#[derive(Clone, Copy)]
 struct AggTarget {
     /// Column whose values feed the aggregate functions.
     value: ColumnId,
@@ -157,6 +223,90 @@ struct AggTarget {
     group: Option<ColumnId>,
     /// Dense partial-table slots: the group dictionary's cardinality.
     capacity: usize,
+}
+
+impl AggTarget {
+    /// The gathered columns: value, then group.
+    fn columns(&self) -> impl Iterator<Item = ColumnId> {
+        std::iter::once(self.value).chain(self.group)
+    }
+}
+
+/// What a statement does with the rows its predicate qualifies — the only
+/// thing a plain scan and a fused aggregate do differently.
+trait Sink: Send + Sync + 'static {
+    type Out: Send + 'static;
+
+    /// One private task: scan `rows` (in the part column's coordinates).
+    fn scan(&self, table: &Table, part: &PlannedPart, rows: Range<usize>) -> Self::Out;
+
+    /// Folds a shared statement's served chunks, sorted by global row.
+    fn fold(&self, table: &Table, chunks: &[ChunkRef]) -> Self::Out;
+
+    /// Reduces private task outputs, given in chunk order.
+    fn reduce(&self, outs: Vec<Self::Out>) -> Self::Out;
+}
+
+/// Plain scans: the qualifying values, materialized in row order.
+struct RowSink;
+
+impl Sink for RowSink {
+    type Out = Vec<i64>;
+
+    fn scan(&self, table: &Table, part: &PlannedPart, rows: Range<usize>) -> Vec<i64> {
+        let column = part.column(table);
+        let positions = scan_positions_with_estimate(column, rows, &part.encoded, part.selectivity);
+        materialize_positions(column, &positions)
+    }
+
+    fn fold(&self, _table: &Table, chunks: &[ChunkRef]) -> Vec<i64> {
+        // Ascending positions make each chunk's share a prefix cut.
+        chunks
+            .iter()
+            .flat_map(|chunk| materialize_positions(chunk.column(), chunk.served_positions()))
+            .collect()
+    }
+
+    fn reduce(&self, outs: Vec<Vec<i64>>) -> Vec<i64> {
+        outs.concat()
+    }
+}
+
+/// Fused aggregates: qualifying rows flow from the mask stream straight into
+/// dense partial tables on the part's socket — no position list is ever
+/// materialized on the private path.
+impl Sink for AggTarget {
+    type Out = GroupAccumulator;
+
+    fn scan(&self, table: &Table, part: &PlannedPart, rows: Range<usize>) -> GroupAccumulator {
+        let group = self.group.map(|g| table.column(g));
+        let reader = RowReader::new(table.column(self.value), group, part.row_offset());
+        let mut acc = GroupAccumulator::new(self.capacity);
+        accumulate_filtered(part.column(table), rows, &part.encoded, &reader, &mut acc);
+        acc
+    }
+
+    fn fold(&self, table: &Table, chunks: &[ChunkRef]) -> GroupAccumulator {
+        let (value, group) = (table.column(self.value), self.group.map(|g| table.column(g)));
+        let mut acc = GroupAccumulator::new(self.capacity);
+        for chunk in chunks {
+            let reader = RowReader::new(value, group, chunk.global_row_offset());
+            accumulate_positions(chunk.served_positions(), &reader, &mut acc);
+        }
+        acc
+    }
+
+    fn reduce(&self, outs: Vec<GroupAccumulator>) -> GroupAccumulator {
+        // The deterministic part-order reduce: partials merge in chunk order
+        // no matter which worker finished first. (Wrapping sums make the
+        // result order-insensitive anyway; the fixed order keeps it
+        // byte-identical even if a checked mode is ever pinned instead.)
+        let mut reduced = GroupAccumulator::new(self.capacity);
+        for partial in &outs {
+            reduced.merge(partial);
+        }
+        reduced
+    }
 }
 
 /// Per-epoch telemetry counters (reset by [`NativeEngine::take_epoch`]).
@@ -215,20 +365,21 @@ impl NativeEpoch {
     }
 }
 
-/// Counts one statement's outstanding tasks; the issuing thread blocks until
-/// every task has finished, without waiting on unrelated statements the pool
+/// Counts one statement's outstanding work items — private tasks, or the
+/// parts a shared statement is attached to; the issuing thread blocks until
+/// every item has finished, without waiting on unrelated statements the pool
 /// may be running concurrently (unlike `ThreadPool::wait_idle`).
-struct StatementLatch {
+pub(crate) struct StatementLatch {
     remaining: Mutex<usize>,
     done: Condvar,
 }
 
 impl StatementLatch {
-    fn new(tasks: usize) -> Self {
-        StatementLatch { remaining: Mutex::new(tasks), done: Condvar::new() }
+    pub(crate) fn new(items: usize) -> Self {
+        StatementLatch { remaining: Mutex::new(items), done: Condvar::new() }
     }
 
-    fn count_down(&self) {
+    pub(crate) fn count_down(&self) {
         let mut remaining = self.remaining.lock();
         *remaining -= 1;
         if *remaining == 0 {
@@ -236,23 +387,22 @@ impl StatementLatch {
         }
     }
 
-    fn wait(&self) {
+    /// Blocks until every item finished, giving up at `deadline` if one is
+    /// set. Returns whether every item finished (`false` = the deadline
+    /// expired first).
+    pub(crate) fn wait_until(&self, deadline: Option<Instant>) -> bool {
         let mut remaining = self.remaining.lock();
         while *remaining > 0 {
-            self.done.wait(&mut remaining);
-        }
-    }
-
-    /// Like [`StatementLatch::wait`], but gives up at `deadline`. Returns
-    /// whether every task finished (`false` = the deadline expired first).
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let mut remaining = self.remaining.lock();
-        while *remaining > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
+            match deadline {
+                None => self.done.wait(&mut remaining),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return false;
+                    }
+                    self.done.wait_for(&mut remaining, deadline - now);
+                }
             }
-            self.done.wait_for(&mut remaining, deadline - now);
         }
         true
     }
@@ -260,7 +410,7 @@ impl StatementLatch {
 
 /// Counts a task's latch down when the task finishes *or unwinds*: the pool
 /// catches task panics to stay usable, so losing the decrement to an unwind
-/// would leave the issuing client blocked in [`StatementLatch::wait`]
+/// would leave the issuing client blocked in [`StatementLatch::wait_until`]
 /// forever.
 struct LatchGuard(Arc<StatementLatch>);
 
@@ -399,122 +549,81 @@ impl NativeEngine {
         self.placements.read()[column.index()].parts.len()
     }
 
-    /// Executes `SELECT col FROM t WHERE col BETWEEN lo AND hi` and returns
-    /// the materialized values in row order. `active_statements` feeds the
-    /// concurrency hint (pass the number of concurrent queries in flight; the
-    /// session layer does this automatically).
-    pub fn scan_between(
-        &self,
-        column_name: &str,
-        lo: i64,
-        hi: i64,
-        active_statements: usize,
-    ) -> Option<Vec<i64>> {
-        self.scan_predicate(column_name, &Predicate::Between { lo, hi }, active_statements)
-    }
-
-    /// Executes `SELECT col FROM t WHERE col IN (values)` and returns the
-    /// materialized values in row order.
-    pub fn scan_in_list(
-        &self,
-        column_name: &str,
-        values: &[i64],
-        active_statements: usize,
-    ) -> Option<Vec<i64>> {
-        self.scan_predicate(column_name, &Predicate::InList(values.to_vec()), active_statements)
-    }
-
-    /// Counts the rows matching `col BETWEEN lo AND hi`.
-    pub fn count_between(
-        &self,
-        column_name: &str,
-        lo: i64,
-        hi: i64,
-        active_statements: usize,
-    ) -> Option<usize> {
-        self.scan_between(column_name, lo, hi, active_statements).map(|v| v.len())
-    }
-
-    /// Executes an arbitrary predicate scan over one column and blocks until
-    /// this statement (and only this statement) completes.
+    /// Executes one statement and blocks until it — and only it — completes.
     ///
-    /// Routing: under low concurrency the statement is split into
-    /// concurrency-hint-many placement-aligned private tasks
-    /// ([`NativeEngine::scan_private`]); once the hint stops granting
-    /// intra-statement parallelism (or [`SharedScanMode::Always`] is
-    /// configured) the statement instead *attaches* to the cooperative
-    /// shared sweep of each of its parts ([`NativeEngine::scan_shared`]),
-    /// so one SWAR sweep serves the whole waiting set. Results are
-    /// byte-identical either way.
-    pub fn scan_predicate(
-        &self,
-        column_name: &str,
-        predicate: &Predicate<i64>,
-        active_statements: usize,
-    ) -> Option<Vec<i64>> {
-        self.scan_with_deadline(column_name, predicate, active_statements, None).ok()
-    }
-
-    /// Executes a session-layer [`ScanRequest`], honouring its optional
-    /// deadline (measured from this call).
-    pub fn scan_request(
-        &self,
-        request: &ScanRequest,
-        active_statements: usize,
-    ) -> Result<Vec<i64>, EngineError> {
-        let deadline = request.deadline.map(|d| Instant::now() + d);
-        self.scan_with_deadline(request.column(), &request.predicate(), active_statements, deadline)
-    }
-
-    /// Executes a session-layer request of either shape: a plain scan
-    /// answers [`QueryResult::Rows`]; a request carrying an [`AggSpec`]
-    /// answers [`QueryResult::Aggregate`] through the fused aggregation
-    /// pipeline (same routing, same deadline semantics).
-    pub fn query_request(
+    /// `active_statements` feeds the concurrency hint (the session layer
+    /// passes its measured count). The statement is planned once — resolved
+    /// columns, a placement snapshot, the zone-pruned parts — and then either
+    /// split into concurrency-hint-many placement-aligned private tasks or,
+    /// once the hint stops granting intra-statement parallelism (or under
+    /// [`SharedScanMode::Always`]), attached to the cooperative shared sweep
+    /// of each surviving part, so one SWAR sweep serves the whole waiting
+    /// set. The request's shape picks the sink: a plain scan answers
+    /// [`QueryResult::Rows`] in row order; a request carrying an
+    /// [`AggSpec`](crate::AggSpec) folds qualifying rows straight from the
+    /// mask stream into dense partial tables and answers
+    /// [`QueryResult::Aggregate`] with *mergeable* states (call
+    /// [`AggTable::finalize`](crate::AggTable::finalize) for final floats),
+    /// so the cluster tier can forward it verbatim as a per-shard partial.
+    /// Results are byte-identical on either path.
+    ///
+    /// The optional deadline is measured from this call and honoured at chunk
+    /// boundaries: on the private path the statement stops waiting and
+    /// cancels its not-yet-started tasks (running chunks finish and are
+    /// discarded); on the shared path its attachment is purged from the sweep
+    /// at the next chunk boundary, leaving the sweep's refcounts — and every
+    /// other attached statement — untouched.
+    pub fn execute(
         &self,
         request: &ScanRequest,
         active_statements: usize,
     ) -> Result<QueryResult, EngineError> {
         let deadline = request.deadline.map(|d| Instant::now() + d);
-        match &request.agg {
-            None => self
-                .scan_with_deadline(
-                    request.column(),
-                    &request.predicate(),
-                    active_statements,
-                    deadline,
-                )
-                .map(QueryResult::Rows),
-            Some(agg) => self
-                .aggregate_with_deadline(
-                    request.column(),
-                    &request.predicate(),
-                    agg,
-                    active_statements,
-                    deadline,
-                )
-                .map(QueryResult::Aggregate),
+        let plan = self.plan(request)?;
+        let (Some(agg), Some(target)) = (&request.agg, plan.target) else {
+            return self.run(&plan, RowSink, active_statements, deadline).map(QueryResult::Rows);
+        };
+        let reduced = self.run(&plan, target, active_statements, deadline)?;
+        // Gather telemetry, recorded on completion: one 8-byte value read
+        // per qualifying row per gathered column. Qualifying-row counts are
+        // workload-deterministic, so the placer's aggregation-heat signal
+        // replays byte-identically like the scan-side counters.
+        let gathered = reduced.matched_rows() * 8;
+        for column in target.columns() {
+            self.telemetry.column_agg_bytes[column.index()].fetch_add(gathered, Ordering::Relaxed);
         }
+        let group_column = target.group.map(|g| self.table.column(g));
+        Ok(QueryResult::Aggregate(reduced.into_table(agg, group_column)))
     }
 
-    /// [`NativeEngine::scan_predicate`] with typed errors and an optional
-    /// absolute deadline, honoured at chunk boundaries on both execution
-    /// paths: on the private path the statement stops waiting at the
-    /// deadline and cancels its not-yet-started tasks (running chunks finish
-    /// and are discarded); on the shared path the statement's attachment is
-    /// purged from the sweep at the next chunk boundary, so the sweep's
-    /// refcounts — and every other attached statement — are untouched.
-    pub fn scan_with_deadline(
-        &self,
-        column_name: &str,
-        predicate: &Predicate<i64>,
-        active_statements: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<i64>, EngineError> {
-        let (column_id, base) = self
-            .table
-            .column_by_name(column_name)
-            .ok_or_else(|| EngineError::UnknownColumn(column_name.to_string()))?;
+    /// Looks a column up by name.
+    fn resolve(&self, name: &str) -> Result<(ColumnId, &DictColumn<i64>), EngineError> {
+        self.table.column_by_name(name).ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
+    }
+
+    /// Plans one statement: resolves its columns, snapshots the placement,
+    /// registers the statement on every column it reads, and keeps the parts
+    /// that can produce rows. This is the statement's only zone-map check and
+    /// the only place demand-side scan telemetry is recorded.
+    fn plan(&self, request: &ScanRequest) -> Result<PartPlan, EngineError> {
+        let (column_id, base) = self.resolve(request.column())?;
+        let target = match &request.agg {
+            None => None,
+            Some(agg) => {
+                let value = self.resolve(&agg.value_column)?.0;
+                let group = match agg.group_by.as_deref() {
+                    None => None,
+                    Some(name) => Some(self.resolve(name)?.0),
+                };
+                // The dense partial tables are sized by the group
+                // *dictionary's* cardinality — never by a row-count or
+                // selectivity estimate, whose empty-domain and bitcase-32
+                // edges must not size allocations.
+                let capacity = group
+                    .map_or(1, |g| dense_group_capacity(self.table.column(g).dictionary().len()));
+                Some(AggTarget { value, group, capacity })
+            }
+        };
         let (placement, generation) = {
             let placements = self.placements.read();
             // Read under the same lock that writers hold while bumping, so
@@ -525,23 +634,68 @@ impl NativeEngine {
             )
         };
         let epoch = self.statement_epoch.fetch_add(1, Ordering::SeqCst);
-        // The statement registers on its column before any byte is recorded,
-        // so an epoch snapshot taken mid-statement can never show a socket
-        // made hot by a column it reports as inactive.
-        self.telemetry.column_queries[column_id.index()].fetch_add(1, Ordering::Relaxed);
-        if self.should_share(active_statements, placement.parts.len()) {
-            self.scan_shared(column_id, base, &placement, generation, predicate, epoch, deadline)
-        } else {
-            self.scan_private(
-                column_id,
-                base,
-                &placement,
-                predicate,
-                active_statements,
-                epoch,
-                deadline,
-            )
+        // The statement registers on its columns before any byte is
+        // recorded, so an epoch snapshot taken mid-statement can never show a
+        // socket made hot by a column it reports as inactive. An
+        // aggregation's gather targets register too: it heats columns no scan
+        // predicate ever names.
+        let gathers = target.iter().flat_map(AggTarget::columns);
+        for column in std::iter::once(column_id).chain(gathers) {
+            self.telemetry.column_queries[column.index()].fetch_add(1, Ordering::Relaxed);
         }
+
+        let predicate = request.predicate();
+        let placement_parts = placement.parts.len();
+        let mut parts = Vec::with_capacity(placement_parts);
+        for (index, part) in placement.parts.into_iter().enumerate() {
+            if part.rows.is_empty() {
+                continue;
+            }
+            let column: &DictColumn<i64> = part.data.as_deref().unwrap_or(base);
+            let encoded = predicate.encode(column.dictionary());
+            // PP parts scan their own rebuilt column with part-local
+            // positions; base-column parts scan the shared IV with global
+            // positions. Values come back in global row order either way
+            // because parts (and chunks within them) are numbered in order.
+            let local_base = if part.data.is_some() { 0 } else { part.rows.start };
+            // Zone-map pruning: when the part's vid bounds prove no row can
+            // match, skip it before any byte is counted — pruned parts cost
+            // neither tasks, sweeps nor telemetry, exactly like rows never
+            // stored, and a shared statement never waits on them.
+            if column.prunes(local_base..local_base + part.rows.len(), &encoded) {
+                continue;
+            }
+            // Telemetry is recorded at plan time and at *part* granularity,
+            // one full pass per statement on either path: the byte count
+            // depends only on the placement snapshot, never on how many tasks
+            // the hint splits the part into or how many statements a sweep
+            // amortized, so replays with identical seeds produce
+            // byte-identical per-socket and per-column signals regardless of
+            // thread interleavings. Attribution follows the data's socket —
+            // whose memory controllers serve the traffic — not the executing
+            // thread.
+            let bytes = column.iv_scan_bytes(part.rows.len());
+            self.telemetry.socket_bytes[part.socket.index()].fetch_add(bytes, Ordering::Relaxed);
+            self.telemetry.column_bytes[column_id.index()].fetch_add(bytes, Ordering::Relaxed);
+            let dictionary = column.dictionary();
+            let selectivity = if dictionary.is_empty() {
+                0.0
+            } else {
+                encoded.vid_count() as f64 / dictionary.len() as f64
+            };
+            parts.push(Arc::new(PlannedPart {
+                index,
+                socket: part.socket,
+                rows: part.rows,
+                column_id,
+                data: part.data,
+                local_base,
+                encoded: Arc::new(encoded),
+                bytes,
+                selectivity,
+            }));
+        }
+        Ok(PartPlan { column_id, generation, epoch, placement_parts, parts, target })
     }
 
     /// Whether a statement at this concurrency level shares sweeps.
@@ -561,477 +715,135 @@ impl NativeEngine {
         }
     }
 
-    /// Executes a fused scan→aggregate statement: the filter column is
-    /// scanned exactly like [`NativeEngine::scan_with_deadline`] (same
-    /// placement alignment, routing, pruning and deadline semantics), but
-    /// qualifying rows flow straight from the SWAR mask stream into dense
-    /// per-task partial tables on the part's socket — no position list is
-    /// ever materialized — and the partials are merged in a deterministic
-    /// part-order reduce. The returned table carries *mergeable* states
-    /// (call [`AggTable::finalize`] for final floats), so the cluster tier
-    /// can forward it verbatim as a per-shard partial.
-    pub fn aggregate_with_deadline(
+    /// Routes a planned statement to the private or the shared path and
+    /// reduces what the sink produced there into one output.
+    fn run<S: Sink>(
         &self,
-        column_name: &str,
-        predicate: &Predicate<i64>,
-        agg: &AggSpec,
+        plan: &PartPlan,
+        sink: S,
         active_statements: usize,
         deadline: Option<Instant>,
-    ) -> Result<AggTable, EngineError> {
-        let (column_id, base) = self
-            .table
-            .column_by_name(column_name)
-            .ok_or_else(|| EngineError::UnknownColumn(column_name.to_string()))?;
-        let (value_id, _) = self
-            .table
-            .column_by_name(&agg.value_column)
-            .ok_or_else(|| EngineError::UnknownColumn(agg.value_column.clone()))?;
-        let group_id = match agg.group_by.as_deref() {
-            None => None,
-            Some(name) => Some(
-                self.table
-                    .column_by_name(name)
-                    .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?
-                    .0,
-            ),
-        };
-        // The dense partial tables are sized by the group *dictionary's*
-        // cardinality — never by a row-count or selectivity estimate, whose
-        // empty-domain and bitcase-32 edges must not size allocations.
-        let capacity =
-            group_id.map_or(1, |g| dense_group_capacity(self.table.column(g).dictionary().len()));
-        let target = AggTarget { value: value_id, group: group_id, capacity };
-
-        let (placement, generation) = {
-            let placements = self.placements.read();
-            (
-                placements[column_id.index()].clone(),
-                self.placement_generation.load(Ordering::SeqCst),
-            )
-        };
-        let epoch = self.statement_epoch.fetch_add(1, Ordering::SeqCst);
-        self.telemetry.column_queries[column_id.index()].fetch_add(1, Ordering::Relaxed);
-        // The gather targets register as queried too: an aggregation heats
-        // columns no scan predicate ever names.
-        self.telemetry.column_queries[value_id.index()].fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = group_id {
-            self.telemetry.column_queries[g.index()].fetch_add(1, Ordering::Relaxed);
-        }
-        let reduced = if self.should_share(active_statements, placement.parts.len()) {
-            self.aggregate_shared(
-                column_id, base, &placement, generation, predicate, &target, epoch, deadline,
-            )
+    ) -> Result<S::Out, EngineError> {
+        if self.should_share(active_statements, plan.placement_parts) {
+            let collector = self.attach_shared(plan);
+            let chunks = collector.wait_raw_until(deadline).ok_or(EngineError::DeadlineExceeded)?;
+            Ok(sink.fold(&self.table, &chunks))
         } else {
-            self.aggregate_private(
-                column_id,
-                base,
-                &placement,
-                predicate,
-                &target,
-                active_statements,
-                epoch,
-                deadline,
-            )
-        }?;
-        // Gather telemetry, recorded on completion: one 8-byte value read
-        // per qualifying row per gathered column. Qualifying-row counts are
-        // workload-deterministic, so the placer's aggregation-heat signal
-        // replays byte-identically like the scan-side counters.
-        let gathered = reduced.matched_rows() * 8;
-        self.telemetry.column_agg_bytes[value_id.index()].fetch_add(gathered, Ordering::Relaxed);
-        if let Some(g) = group_id {
-            self.telemetry.column_agg_bytes[g.index()].fetch_add(gathered, Ordering::Relaxed);
+            let sink = Arc::new(sink);
+            let outs = self.run_private(plan, &sink, active_statements, deadline)?;
+            Ok(sink.reduce(outs))
         }
-        let group_column = group_id.map(|g| self.table.column(g));
-        Ok(reduced.into_table(agg, group_column))
     }
 
-    /// The private fused-aggregation path: the scan-side task structure of
-    /// [`NativeEngine::scan_private`], but each task folds its mask stream
-    /// into a dense partial table instead of materializing positions.
-    #[allow(clippy::too_many_arguments)]
-    fn aggregate_private(
+    /// The private (per-statement) execution path: splits the plan into
+    /// concurrency-hint-many tasks aligned to its parts, submits each with
+    /// its part's socket affinity, and returns the sink's per-task outputs in
+    /// chunk order — which is global row order.
+    fn run_private<S: Sink>(
         &self,
-        column_id: ColumnId,
-        base: &DictColumn<i64>,
-        placement: &ColumnPlacement,
-        predicate: &Predicate<i64>,
-        target: &AggTarget,
+        plan: &PartPlan,
+        sink: &Arc<S>,
         active_statements: usize,
-        epoch: u64,
         deadline: Option<Instant>,
-    ) -> Result<GroupAccumulator, EngineError> {
-        let parts = placement.parts.len();
-        let total_tasks = self.hint.suggested_tasks_for_partitions(active_statements, parts);
-        let tasks_per_part = (total_tasks / parts.max(1)).max(1);
-
-        struct TaskSpec {
-            chunk: usize,
-            local_rows: Range<usize>,
-            /// Filter-local position → global base-table row (non-zero only
-            /// for physically rebuilt parts).
-            offset: usize,
-            socket: SocketId,
-            data: Option<Arc<DictColumn<i64>>>,
-            encoded: Arc<EncodedPredicate>,
-        }
-        let mut specs: Vec<TaskSpec> = Vec::new();
-        for part in &placement.parts {
-            if part.rows.is_empty() {
-                continue;
-            }
-            let part_column: &DictColumn<i64> = part.data.as_deref().unwrap_or(base);
-            let encoded = Arc::new(predicate.encode(part_column.dictionary()));
-            let local_base = if part.data.is_some() { 0 } else { part.rows.start };
-            if part_column.prunes(local_base..local_base + part.rows.len(), &encoded) {
-                continue;
-            }
-            // Scan-side telemetry exactly as on the scan path: recorded at
-            // submit time at part granularity, attributed to the data's
-            // socket.
-            let part_bytes = part_column.iv_scan_bytes(part.rows.len());
-            self.telemetry.socket_bytes[part.socket.index()]
-                .fetch_add(part_bytes, Ordering::Relaxed);
-            self.telemetry.column_bytes[column_id.index()].fetch_add(part_bytes, Ordering::Relaxed);
-            self.pool.record_scanned_bytes(part.socket, part_bytes);
-
-            for range in numascan_storage::ivp_ranges(part.rows.len(), tasks_per_part) {
-                if range.is_empty() {
-                    continue;
-                }
-                specs.push(TaskSpec {
-                    chunk: specs.len(),
-                    local_rows: local_base + range.start..local_base + range.end,
-                    offset: part.rows.start - local_base,
-                    socket: part.socket,
-                    data: part.data.clone(),
-                    encoded: Arc::clone(&encoded),
-                });
-            }
-        }
-
-        let latch = Arc::new(StatementLatch::new(specs.len()));
-        let results: Arc<Mutex<Vec<(usize, GroupAccumulator)>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(specs.len())));
-        let token = CancellationToken::new();
-        let (capacity, value_id, group_id) = (target.capacity, target.value, target.group);
-        for (seq, spec) in specs.into_iter().enumerate() {
-            let part_column: &DictColumn<i64> = spec.data.as_deref().unwrap_or(base);
-            let bytes = part_column.iv_scan_bytes(spec.local_rows.len());
-            let meta = TaskMeta {
-                affinity: Some(spec.socket),
-                hard_affinity: false,
-                priority: TaskPriority::new(epoch, seq as u64),
-                work_class: WorkClass::MemoryIntensive,
-                estimated_bytes: bytes as f64,
-            };
-            let table = Arc::clone(&self.table);
-            let results = Arc::clone(&results);
-            let count_down = LatchGuard(Arc::clone(&latch));
-            self.pool.submit_cancellable(meta, token.clone(), move || {
-                let _count_down = count_down;
-                let filter: &DictColumn<i64> =
-                    spec.data.as_deref().unwrap_or_else(|| table.column(column_id));
-                let value = table.column(value_id);
-                let group = group_id.map(|g| table.column(g));
-                let reader = RowReader::new(value, group, spec.offset);
-                let mut acc = GroupAccumulator::new(capacity);
-                accumulate_filtered(
-                    filter,
-                    spec.local_rows.clone(),
-                    &spec.encoded,
-                    &reader,
-                    &mut acc,
-                );
-                results.lock().push((spec.chunk, acc));
-            });
-        }
-        match deadline {
-            None => latch.wait(),
-            Some(deadline) => {
-                if !latch.wait_until(deadline) {
-                    token.cancel();
-                    return Err(EngineError::DeadlineExceeded);
-                }
-            }
-        }
-
-        let mut partials = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone());
-        // The deterministic part-order reduce: partials merge in chunk
-        // order no matter which worker finished first. (Wrapping sums make
-        // the result order-insensitive anyway; the fixed order keeps it
-        // byte-identical even if a checked mode is ever pinned instead.)
-        partials.sort_by_key(|(i, _)| *i);
-        let mut reduced = GroupAccumulator::new(capacity);
-        for (_, partial) in &partials {
-            reduced.merge(partial);
-        }
-        Ok(reduced)
-    }
-
-    /// The cooperative fused-aggregation path: attaches to the same shared
-    /// sweeps as [`NativeEngine::scan_shared`] — one SWAR sweep serves scan
-    /// and aggregate waiters from the same mask stream — and folds the
-    /// served chunk streams instead of materializing them.
-    #[allow(clippy::too_many_arguments)]
-    fn aggregate_shared(
-        &self,
-        column_id: ColumnId,
-        base: &DictColumn<i64>,
-        placement: &ColumnPlacement,
-        generation: u64,
-        predicate: &Predicate<i64>,
-        target: &AggTarget,
-        epoch: u64,
-        deadline: Option<Instant>,
-    ) -> Result<GroupAccumulator, EngineError> {
-        let collector =
-            self.attach_shared(column_id, base, placement, generation, predicate, epoch);
-        let chunks = collector.wait_raw_until(deadline).ok_or(EngineError::DeadlineExceeded)?;
-        let value = self.table.column(target.value);
-        let group = target.group.map(|g| self.table.column(g));
-        let mut reduced = GroupAccumulator::new(target.capacity);
-        for chunk in &chunks {
-            let reader = RowReader::new(value, group, chunk.global_row_offset());
-            accumulate_positions(chunk.served_positions(), &reader, &mut reduced);
-        }
-        Ok(reduced)
-    }
-
-    /// The private (per-statement) execution path: splits the scan into
-    /// concurrency-hint-many tasks aligned to the column's placement and
-    /// submits them with their parts' socket affinities.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_private(
-        &self,
-        column_id: ColumnId,
-        base: &DictColumn<i64>,
-        placement: &ColumnPlacement,
-        predicate: &Predicate<i64>,
-        active_statements: usize,
-        epoch: u64,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<i64>, EngineError> {
+    ) -> Result<Vec<S::Out>, EngineError> {
         // Round the suggested task count up to a multiple of the parts so
         // every task's range falls wholly inside one part (Section 5.2).
-        let parts = placement.parts.len();
+        let parts = plan.placement_parts;
         let total_tasks = self.hint.suggested_tasks_for_partitions(active_statements, parts);
         let tasks_per_part = (total_tasks / parts.max(1)).max(1);
 
         // Describe every task up front so the completion latch knows the
         // exact count before the first task can finish.
-        struct TaskSpec {
-            chunk: usize,
-            local_rows: Range<usize>,
-            socket: SocketId,
-            data: Option<Arc<DictColumn<i64>>>,
-            /// Shared (not cloned) by every task of the part.
-            encoded: Arc<EncodedPredicate>,
-            selectivity: f64,
-        }
-        let mut specs: Vec<TaskSpec> = Vec::new();
-        for part in &placement.parts {
-            if part.rows.is_empty() {
-                continue;
-            }
-            let part_column: &DictColumn<i64> = part.data.as_deref().unwrap_or(base);
-
-            // Encoded once per part and shared via `Arc`: PP parts carry
-            // their own dictionaries, but within one part every task sees
-            // the same encoding and selectivity estimate — an IN-list's vid
-            // payload is never deep-cloned per task.
-            let encoded = Arc::new(predicate.encode(part_column.dictionary()));
-
-            // PP parts scan their own rebuilt column with part-local
-            // positions; base-column parts scan the shared IV with global
-            // positions. Values come back in global row order either way
-            // because parts (and chunks within them) are numbered in order.
-            let local_base = if part.data.is_some() { 0 } else { part.rows.start };
-
-            // Zone-map pruning: when the part's vid bounds prove no row can
-            // match, skip it before any byte is counted — pruned parts cost
-            // neither tasks nor telemetry, exactly like rows never stored.
-            if part_column.prunes(local_base..local_base + part.rows.len(), &encoded) {
-                continue;
-            }
-
-            // Telemetry is recorded at submit time and at *part* granularity:
-            // the byte count depends only on the placement snapshot, never on
-            // how many tasks the (concurrency-dependent) hint splits the part
-            // into, so replays with identical seeds produce byte-identical
-            // per-socket and per-column signals regardless of thread
-            // interleavings. Attribution follows the data's socket — whose
-            // memory controllers serve the traffic — not the executing
-            // thread.
-            let part_bytes = part_column.iv_scan_bytes(part.rows.len());
-            self.telemetry.socket_bytes[part.socket.index()]
-                .fetch_add(part_bytes, Ordering::Relaxed);
-            self.telemetry.column_bytes[column_id.index()].fetch_add(part_bytes, Ordering::Relaxed);
-            self.pool.record_scanned_bytes(part.socket, part_bytes);
-
-            let selectivity = predicate.estimated_selectivity(part_column.dictionary());
-
+        let mut tasks = Vec::new();
+        for part in &plan.parts {
+            // The steal throttle's bandwidth estimate sees the pass a private
+            // statement really streams (the shared path feeds it only when a
+            // sweep starts).
+            self.pool.record_scanned_bytes(part.socket, part.bytes);
             for range in numascan_storage::ivp_ranges(part.rows.len(), tasks_per_part) {
-                if range.is_empty() {
-                    continue;
+                if !range.is_empty() {
+                    let rows = part.local_base + range.start..part.local_base + range.end;
+                    tasks.push((Arc::clone(part), rows));
                 }
-                specs.push(TaskSpec {
-                    chunk: specs.len(),
-                    local_rows: local_base + range.start..local_base + range.end,
-                    socket: part.socket,
-                    data: part.data.clone(),
-                    encoded: Arc::clone(&encoded),
-                    selectivity,
-                });
             }
         }
 
-        let latch = Arc::new(StatementLatch::new(specs.len()));
-        let results: Arc<Mutex<TaskChunks>> = Arc::new(Mutex::new(Vec::with_capacity(specs.len())));
+        let latch = Arc::new(StatementLatch::new(tasks.len()));
+        let results = Arc::new(Mutex::new(Vec::with_capacity(tasks.len())));
         let token = CancellationToken::new();
-        for (seq, spec) in specs.into_iter().enumerate() {
-            let part_column: &DictColumn<i64> = spec.data.as_deref().unwrap_or(base);
-            let bytes = part_column.iv_scan_bytes(spec.local_rows.len());
-
+        for (chunk, (part, rows)) in tasks.into_iter().enumerate() {
             let meta = TaskMeta {
-                affinity: Some(spec.socket),
+                affinity: Some(part.socket),
                 hard_affinity: false,
-                priority: TaskPriority::new(epoch, seq as u64),
+                priority: TaskPriority::new(plan.epoch, chunk as u64),
                 work_class: WorkClass::MemoryIntensive,
-                estimated_bytes: bytes as f64,
+                estimated_bytes: part.column(&self.table).iv_scan_bytes(rows.len()) as f64,
             };
-            let table = Arc::clone(&self.table);
-            let results = Arc::clone(&results);
+            let (table, sink, results) =
+                (Arc::clone(&self.table), Arc::clone(sink), Arc::clone(&results));
             // Moved *into* the closure (not created inside it): a cancelled
             // task's closure is dropped unrun, and the guard's drop still
             // counts the latch down, so an expired statement never wedges.
             let count_down = LatchGuard(Arc::clone(&latch));
             self.pool.submit_cancellable(meta, token.clone(), move || {
                 let _count_down = count_down;
-                let column: &DictColumn<i64> =
-                    spec.data.as_deref().unwrap_or_else(|| table.column(column_id));
-                let positions = scan_positions_with_estimate(
-                    column,
-                    spec.local_rows.clone(),
-                    &spec.encoded,
-                    spec.selectivity,
-                );
-                let values = numascan_storage::materialize_positions(column, &positions);
-                results.lock().push((spec.chunk, values));
+                let out = sink.scan(&table, &part, rows);
+                results.lock().push((chunk, out));
             });
         }
-        match deadline {
-            None => latch.wait(),
-            Some(deadline) => {
-                if !latch.wait_until(deadline) {
-                    // Queued tasks are dropped at pickup; tasks already
-                    // running finish into `results` (kept alive by their
-                    // `Arc`) and are discarded with it.
-                    token.cancel();
-                    return Err(EngineError::DeadlineExceeded);
-                }
-            }
+        if !latch.wait_until(deadline) {
+            // Queued tasks are dropped at pickup; tasks already running
+            // finish into `results` (kept alive by their `Arc`) and are
+            // discarded with it.
+            token.cancel();
+            return Err(EngineError::DeadlineExceeded);
         }
-
-        let mut chunks = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone());
-        chunks.sort_by_key(|(i, _)| *i);
-        Ok(chunks.into_iter().flat_map(|(_, v)| v).collect())
+        // Every task pushed before counting down, so the list is complete.
+        let mut outs = std::mem::take(&mut *results.lock());
+        outs.sort_by_key(|(chunk, _)| *chunk);
+        Ok(outs.into_iter().map(|(_, out)| out).collect())
     }
 
-    /// The cooperative execution path: the statement attaches one query per
-    /// placement part to the part's shared sweep (starting the sweep, and
-    /// submitting the one pool task that runs it, only when no sweep is in
-    /// flight), then blocks until every part has served it in full.
+    /// The cooperative execution path: attaches the statement to the shared
+    /// sweep of each planned part — registering the sweep, and submitting the
+    /// one pool task that runs it, only where none is in flight — and returns
+    /// the collector the statement waits on. The sweep is oblivious to what
+    /// its waiters do with the served chunk streams, so scans and aggregates
+    /// share it alike.
     ///
-    /// Demand-side telemetry is recorded exactly as on the private path —
-    /// one full pass per statement per part, attributed to the data's socket
-    /// — so the placer's utilization/heat signals, and therefore every
-    /// adaptive decision, stay workload-deterministic no matter how many
-    /// statements a sweep physically amortized. The *actual* streamed bytes
-    /// are tracked in [`SharedScanStats::bytes_swept`], and the steal
-    /// throttle's bandwidth estimate is fed one pass per started sweep (the
-    /// attached statements add no traffic).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_shared(
-        &self,
-        column_id: ColumnId,
-        base: &DictColumn<i64>,
-        placement: &ColumnPlacement,
-        generation: u64,
-        predicate: &Predicate<i64>,
-        epoch: u64,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<i64>, EngineError> {
-        let collector =
-            self.attach_shared(column_id, base, placement, generation, predicate, epoch);
-        collector.wait_until(deadline).ok_or(EngineError::DeadlineExceeded)
-    }
-
-    /// Attaches one statement to the shared sweeps of its column's parts
-    /// (registering sweeps, and submitting their dispatcher tasks, where
-    /// none is in flight) and returns the collector the statement waits on.
-    /// Shared by the scan and aggregate shared paths: the sweep itself is
-    /// oblivious to what its waiters do with the served chunk streams.
-    fn attach_shared(
-        &self,
-        column_id: ColumnId,
-        base: &DictColumn<i64>,
-        placement: &ColumnPlacement,
-        generation: u64,
-        predicate: &Predicate<i64>,
-        epoch: u64,
-    ) -> Arc<SharedCollector> {
-        // Encode and zone-prune first: a part the zone map rules out never
-        // registers a sweep, records no telemetry, and — crucially — does
-        // not count toward the collector's completion set, so the statement
-        // only waits on parts that can actually produce rows.
-        let mut attaches: Vec<(usize, &ColumnPart, Arc<EncodedPredicate>)> = Vec::new();
-        for (part_index, part) in placement.parts.iter().enumerate() {
-            if part.rows.is_empty() {
-                continue;
-            }
-            let part_column: &DictColumn<i64> = part.data.as_deref().unwrap_or(base);
-            // One encoding per part, shared across every task and every
-            // attached query of the statement.
-            let encoded = Arc::new(predicate.encode(part_column.dictionary()));
-            let local_base = if part.data.is_some() { 0 } else { part.rows.start };
-            if part_column.prunes(local_base..local_base + part.rows.len(), &encoded) {
-                continue;
-            }
-            attaches.push((part_index, part, encoded));
-        }
-        let collector = Arc::new(SharedCollector::new(attaches.len()));
-        for (part_index, part, encoded) in attaches {
-            let part_column: &DictColumn<i64> = part.data.as_deref().unwrap_or(base);
-            let part_bytes = part_column.iv_scan_bytes(part.rows.len());
-            self.telemetry.socket_bytes[part.socket.index()]
-                .fetch_add(part_bytes, Ordering::Relaxed);
-            self.telemetry.column_bytes[column_id.index()].fetch_add(part_bytes, Ordering::Relaxed);
-
+    /// The plan already recorded demand-side telemetry (one pass per
+    /// statement per part); the *actual* streamed bytes are tracked in
+    /// [`SharedScanStats::bytes_swept`], and the steal throttle's bandwidth
+    /// estimate is fed one pass per started sweep (the attached statements
+    /// add no traffic).
+    fn attach_shared(&self, plan: &PartPlan) -> Arc<SharedCollector> {
+        let collector = Arc::new(SharedCollector::new(plan.parts.len()));
+        for part in &plan.parts {
             let spec = PartAttachSpec {
-                key: SweepKey { column: column_id.index(), generation, part: part_index },
+                key: SweepKey {
+                    column: plan.column_id.index(),
+                    generation: plan.generation,
+                    part: part.index,
+                },
                 socket: part.socket,
                 global_base: part.rows.start,
-                local_base: if part.data.is_some() { 0 } else { part.rows.start },
+                local_base: part.local_base,
                 len: part.rows.len(),
-                pass_bytes: part_bytes,
+                pass_bytes: part.bytes,
                 table: Arc::clone(&self.table),
-                column_id,
+                column_id: plan.column_id,
                 data: part.data.clone(),
             };
+            let encoded = Arc::clone(&part.encoded);
             if let Some(ticket) = self.shared.attach(spec, encoded, Arc::clone(&collector)) {
-                self.pool.record_scanned_bytes(part.socket, part_bytes);
+                self.pool.record_scanned_bytes(part.socket, part.bytes);
                 let registry = Arc::clone(&self.shared);
                 let meta = TaskMeta {
                     affinity: Some(part.socket),
                     hard_affinity: false,
-                    priority: TaskPriority::new(epoch, part_index as u64),
+                    priority: TaskPriority::new(plan.epoch, part.index as u64),
                     work_class: WorkClass::MemoryIntensive,
-                    estimated_bytes: part_bytes as f64,
+                    estimated_bytes: part.bytes as f64,
                 };
                 self.pool.submit(meta, move || registry.dispatch(ticket));
             }
@@ -1294,7 +1106,8 @@ mod tests {
     fn native_scan_returns_exactly_the_matching_values() {
         let rows = 100_000;
         let engine = NativeEngine::new(table(rows), &small_topology(), SchedulingStrategy::Bound);
-        let values = engine.scan_between("payload", 100, 199, 1).unwrap();
+        let values =
+            engine.execute(&ScanRequest::between("payload", 100, 199), 1).unwrap().into_rows();
         assert_eq!(values, reference_between(rows, 100, 199));
         engine.shutdown();
     }
@@ -1313,7 +1126,8 @@ mod tests {
                 &small_topology(),
                 NativeEngineConfig { placement, ..Default::default() },
             );
-            let values = engine.scan_between("payload", 200, 449, 3).unwrap();
+            let values =
+                engine.execute(&ScanRequest::between("payload", 200, 449), 3).unwrap().into_rows();
             assert_eq!(values, expected, "placement {placement:?}");
             engine.shutdown();
         }
@@ -1324,7 +1138,10 @@ mod tests {
         let rows = 30_000;
         let engine = NativeEngine::new(table(rows), &small_topology(), SchedulingStrategy::Target);
         let picks = [7i64, 101, 555, 999];
-        let values = engine.scan_in_list("payload", &picks, 2).unwrap();
+        let values = engine
+            .execute(&ScanRequest::in_list("payload", picks.to_vec()), 2)
+            .unwrap()
+            .into_rows();
         let expected: Vec<i64> =
             (0..rows as i64).map(|i| (i * 7919) % 1000).filter(|v| picks.contains(v)).collect();
         assert_eq!(values, expected);
@@ -1335,10 +1152,10 @@ mod tests {
     fn concurrency_hint_controls_task_granularity() {
         let engine = NativeEngine::new(table(50_000), &small_topology(), SchedulingStrategy::Bound);
         // Low concurrency: many tasks per query.
-        engine.count_between("payload", 0, 999, 1).unwrap();
+        engine.execute(&ScanRequest::between("payload", 0, 999), 1).unwrap().into_rows().len();
         let low_tasks = engine.scheduler_stats().executed;
         // High concurrency: a single task.
-        engine.count_between("payload", 0, 999, 10_000).unwrap();
+        engine.execute(&ScanRequest::between("payload", 0, 999), 10_000).unwrap().into_rows().len();
         let delta = engine.scheduler_stats().executed - low_tasks;
         assert!(
             low_tasks > delta,
@@ -1352,7 +1169,7 @@ mod tests {
     fn scans_are_dispatched_by_targeted_wakeups() {
         let engine = NativeEngine::new(table(50_000), &small_topology(), SchedulingStrategy::Bound);
         for _ in 0..5 {
-            engine.count_between("payload", 0, 499, 1).unwrap();
+            engine.execute(&ScanRequest::between("payload", 0, 499), 1).unwrap().into_rows().len();
         }
         let stats = engine.scheduler_stats();
         assert!(stats.executed > 0);
@@ -1367,7 +1184,7 @@ mod tests {
     #[test]
     fn unknown_columns_return_none() {
         let engine = NativeEngine::new(table(1_000), &small_topology(), SchedulingStrategy::Target);
-        assert!(engine.scan_between("nope", 0, 1, 1).is_none());
+        assert!(engine.execute(&ScanRequest::between("nope", 0, 1), 1).is_err());
         engine.shutdown();
     }
 
@@ -1375,7 +1192,11 @@ mod tests {
     fn full_range_scan_returns_every_row() {
         let rows = 20_000;
         let engine = NativeEngine::new(table(rows), &small_topology(), SchedulingStrategy::Os);
-        let count = engine.count_between("id", 0, rows as i64, 4).unwrap();
+        let count = engine
+            .execute(&ScanRequest::between("id", 0, rows as i64), 4)
+            .unwrap()
+            .into_rows()
+            .len();
         assert_eq!(count, rows);
         engine.shutdown();
     }
@@ -1384,7 +1205,7 @@ mod tests {
     fn telemetry_attributes_bytes_to_the_data_socket() {
         let engine = NativeEngine::new(table(64_000), &small_topology(), SchedulingStrategy::Bound);
         // "payload" is column 1 -> socket 1 under round-robin placement.
-        engine.count_between("payload", 0, 999, 1).unwrap();
+        engine.execute(&ScanRequest::between("payload", 0, 999), 1).unwrap().into_rows().len();
         let epoch = engine.take_epoch();
         assert!(epoch.socket_bytes[1] > 0, "{epoch:?}");
         assert_eq!(epoch.socket_bytes[0], 0);
@@ -1404,14 +1225,16 @@ mod tests {
     fn live_repartitioning_spreads_traffic_and_preserves_results() {
         let rows = 48_000;
         let engine = NativeEngine::new(table(rows), &small_topology(), SchedulingStrategy::Bound);
-        let before = engine.scan_between("payload", 100, 299, 1).unwrap();
+        let before =
+            engine.execute(&ScanRequest::between("payload", 100, 299), 1).unwrap().into_rows();
         let (payload, _) = engine.table().column_by_name("payload").unwrap();
         assert_eq!(engine.column_partitions(payload), 1);
         engine.take_epoch();
 
         engine.repartition_ivp(payload, 4);
         assert_eq!(engine.column_partitions(payload), 4);
-        let after = engine.scan_between("payload", 100, 299, 1).unwrap();
+        let after =
+            engine.execute(&ScanRequest::between("payload", 100, 299), 1).unwrap().into_rows();
         assert_eq!(after, before, "IVP repartitioning must not change results");
         let epoch = engine.take_epoch();
         assert!(
@@ -1420,12 +1243,14 @@ mod tests {
         );
 
         engine.repartition_pp(payload, 2);
-        let after_pp = engine.scan_between("payload", 100, 299, 1).unwrap();
+        let after_pp =
+            engine.execute(&ScanRequest::between("payload", 100, 299), 1).unwrap().into_rows();
         assert_eq!(after_pp, before, "PP repartitioning must not change results");
 
         engine.move_column_to(payload, SocketId(3));
         assert_eq!(engine.column_socket(payload), SocketId(3));
-        let moved = engine.scan_between("payload", 100, 299, 1).unwrap();
+        let moved =
+            engine.execute(&ScanRequest::between("payload", 100, 299), 1).unwrap().into_rows();
         assert_eq!(moved, before, "moving a column must not change results");
         engine.shutdown();
     }
@@ -1446,13 +1271,19 @@ mod tests {
                 ..Default::default()
             },
         );
-        let values = engine.scan_between("id", 100, 199, 1).unwrap();
+        let values = engine.execute(&ScanRequest::between("id", 100, 199), 1).unwrap().into_rows();
         assert_eq!(values, (100..=199).collect::<Vec<i64>>());
         let epoch = engine.take_epoch();
         let touched = epoch.socket_bytes.iter().filter(|b| **b > 0).count();
         assert_eq!(touched, 1, "only the overlapping part may be scanned: {epoch:?}");
         // A range outside every zone scans nothing at all.
-        assert_eq!(engine.scan_between("id", rows as i64 + 10, rows as i64 + 20, 1).unwrap(), []);
+        assert_eq!(
+            engine
+                .execute(&ScanRequest::between("id", rows as i64 + 10, rows as i64 + 20), 1)
+                .unwrap()
+                .into_rows(),
+            []
+        );
         assert_eq!(engine.take_epoch().socket_bytes, vec![0; 4]);
         engine.shutdown();
     }
@@ -1474,13 +1305,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        let values = engine.scan_between("id", 100, 199, 8).unwrap();
+        let values = engine.execute(&ScanRequest::between("id", 100, 199), 8).unwrap().into_rows();
         assert_eq!(values, (100..=199).collect::<Vec<i64>>());
         let stats = engine.shared_scan_stats();
         assert_eq!(stats.sweeps_started, 1, "pruned parts must not register sweeps: {stats:?}");
         assert_eq!(stats.rows_swept, rows as u64 / 4, "one part's pass, not the column's");
         // All parts pruned: the statement completes immediately, empty.
-        assert_eq!(engine.scan_between("id", -50, -10, 8).unwrap(), []);
+        assert_eq!(
+            engine.execute(&ScanRequest::between("id", -50, -10), 8).unwrap().into_rows(),
+            []
+        );
         assert_eq!(engine.shared_scan_stats().sweeps_started, 1);
         engine.shutdown();
     }
@@ -1494,24 +1328,27 @@ mod tests {
         let table = TableBuilder::new("tbl").add_values("id", &ids, false).build();
         let engine = NativeEngine::new(table, &small_topology(), SchedulingStrategy::Bound);
         let (id, _) = engine.table().column_by_name("id").unwrap();
-        let before = engine.scan_between("id", 100, 200, 1).unwrap();
+        let before = engine.execute(&ScanRequest::between("id", 100, 200), 1).unwrap().into_rows();
         assert_eq!(before.len(), 101 * 100);
         assert_eq!(engine.column_part_layout(id, 0), Some(IvLayoutKind::BitPacked));
 
         assert!(engine.relayout_part(id, 0, IvLayoutKind::Rle));
         assert_eq!(engine.column_part_layout(id, 0), Some(IvLayoutKind::Rle));
-        let rle = engine.scan_between("id", 100, 200, 1).unwrap();
+        let rle = engine.execute(&ScanRequest::between("id", 100, 200), 1).unwrap().into_rows();
         assert_eq!(rle, before, "relayout must not change results");
 
         // Converting back and converting to the current layout are handled.
         assert!(engine.relayout_part(id, 0, IvLayoutKind::BitPacked));
         assert!(!engine.relayout_part(id, 0, IvLayoutKind::BitPacked), "no-op relayout");
         assert!(!engine.relayout_part(id, 99, IvLayoutKind::Rle), "stale part index");
-        assert_eq!(engine.scan_between("id", 100, 200, 1).unwrap(), before);
+        assert_eq!(
+            engine.execute(&ScanRequest::between("id", 100, 200), 1).unwrap().into_rows(),
+            before
+        );
 
         // The epoch telemetry reports the live layout and run fraction.
         engine.relayout_part(id, 0, IvLayoutKind::Rle);
-        engine.count_between("id", 0, 10, 1).unwrap();
+        engine.execute(&ScanRequest::between("id", 0, 10), 1).unwrap().into_rows().len();
         let epoch = engine.take_epoch();
         let stats = &epoch.heats[id.index()].part_layouts;
         assert_eq!(stats.len(), 1);
@@ -1532,13 +1369,13 @@ mod tests {
                 .add_values("flag", &flag, false)
                 .build()
         };
-        let predicate = Predicate::Between { lo: 100, hi: 649 };
         let agg = AggSpec::new(
             "payload",
             vec![AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg],
         )
         .with_group_by("flag");
-        let expected = oracle_aggregate(&build(), "payload", &predicate, &agg);
+        let request = ScanRequest::between("payload", 100, 649).with_aggregate(agg.clone());
+        let expected = oracle_aggregate(&build(), "payload", &request.predicate(), &agg);
         for placement in [
             NativePlacement::RoundRobin,
             NativePlacement::IndexVectorPartitioned { parts: 4 },
@@ -1554,8 +1391,7 @@ mod tests {
                         ..Default::default()
                     },
                 );
-                let got =
-                    engine.aggregate_with_deadline("payload", &predicate, &agg, 3, None).unwrap();
+                let got = engine.execute(&request, 3).unwrap().into_aggregate();
                 assert_eq!(got, expected, "placement {placement:?}, mode {mode:?}");
                 engine.shutdown();
             }
@@ -1576,15 +1412,7 @@ mod tests {
             .build();
         let engine = NativeEngine::new(table, &small_topology(), SchedulingStrategy::Bound);
         let agg = AggSpec::new("price", vec![AggFunc::Sum]).with_group_by("flag");
-        engine
-            .aggregate_with_deadline(
-                "payload",
-                &Predicate::Between { lo: 0, hi: 49 },
-                &agg,
-                1,
-                None,
-            )
-            .unwrap();
+        engine.execute(&ScanRequest::between("payload", 0, 49).with_aggregate(agg), 1).unwrap();
         let epoch = engine.take_epoch();
         let by_name = |name: &str| {
             let (id, _) = engine.table().column_by_name(name).unwrap();
@@ -1604,7 +1432,7 @@ mod tests {
     fn rebalance_step_repartitions_a_measured_native_hotspot() {
         let engine = NativeEngine::new(table(64_000), &small_topology(), SchedulingStrategy::Bound);
         for _ in 0..4 {
-            engine.count_between("payload", 0, 499, 2).unwrap();
+            engine.execute(&ScanRequest::between("payload", 0, 499), 2).unwrap().into_rows().len();
         }
         let epoch = engine.take_epoch();
         let placer = AdaptiveDataPlacer::default();

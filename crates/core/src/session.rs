@@ -200,20 +200,21 @@ impl SessionManager {
     /// expires ([`EngineError::DeadlineExceeded`]), or the column turns out
     /// not to exist ([`EngineError::UnknownColumn`]).
     ///
-    /// The measured active count decides the execution shape: under low
-    /// concurrency the engine splits the statement into concurrency-hint-many
+    /// The statement runs through the engine's one pipeline
+    /// ([`NativeEngine::execute`]): plan → private tasks or shared attach →
+    /// sink. The measured active count picks the middle step: under low
+    /// concurrency the statement is split into concurrency-hint-many
     /// placement-aligned private tasks; under high concurrency (where the
-    /// hint grants no intra-statement parallelism anyway) the statement
-    /// instead attaches to the cooperative shared sweep of its column's
-    /// parts, so one SWAR pass serves every waiting statement. Results are
-    /// byte-identical either way. The predicate is encoded once per part and
-    /// shared via `Arc` across all tasks and attached queries — IN-list
-    /// payloads are never deep-cloned per task.
+    /// hint grants no intra-statement parallelism anyway) it attaches to the
+    /// cooperative shared sweep of each of its column's parts, so one SWAR
+    /// pass serves every waiting statement. The request's shape picks the
+    /// sink — materialized rows, or a fused aggregate — and results are
+    /// byte-identical on either path.
     pub fn execute(&self, request: &ScanRequest) -> Result<QueryResult, EngineError> {
         let active = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.admitted.fetch_add(1, Ordering::SeqCst);
         let _guard = StatementGuard { active: &self.active };
-        self.engine.query_request(request, active)
+        self.engine.execute(request, active)
     }
 
     /// [`SessionManager::execute`] for plain scans: unwraps the row payload.

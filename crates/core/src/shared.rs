@@ -46,10 +46,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use numascan_numasim::SocketId;
-use numascan_storage::{
-    materialize_positions, scan_positions_batch, ColumnId, DictColumn, EncodedPredicate, Table,
-};
-use parking_lot::{Condvar, Mutex};
+use numascan_storage::{scan_positions_batch, ColumnId, DictColumn, EncodedPredicate, Table};
+use parking_lot::Mutex;
+
+use crate::native::StatementLatch;
 
 /// When the engine routes a statement through the shared-scan executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,9 +133,10 @@ pub(crate) struct SweepKey {
 
 /// One chunk's share of a statement's result, deferred: the sweeper hands
 /// out the chunk's match list (shared across every query that asked for it)
-/// and the *client* trims and materializes on its own thread at
-/// [`SharedCollector::wait`]. The sweeper's per-query cost per chunk is one
-/// `Arc` clone — decode work never serializes behind the sweep.
+/// and the *client* trims and materializes (or folds) on its own thread
+/// after [`SharedCollector::wait_raw_until`]. The sweeper's per-query cost
+/// per chunk is one `Arc` clone — decode work never serializes behind the
+/// sweep.
 pub(crate) struct ChunkRef {
     /// First global row of the chunk (keys the result ordering).
     global_start: usize,
@@ -180,8 +181,8 @@ impl ChunkRef {
 /// pushed tagged with their global row start, and the issuing client blocks
 /// until every attached part has fully served the statement.
 pub(crate) struct SharedCollector {
-    remaining: Mutex<usize>,
-    done: Condvar,
+    /// Counts the attached parts that have not yet served the statement.
+    latch: StatementLatch,
     chunks: Mutex<Vec<ChunkRef>>,
     /// Set when the waiting statement's deadline expired: the waiter is gone,
     /// so sweeps purge this collector's attachments at their next chunk
@@ -193,8 +194,7 @@ impl SharedCollector {
     /// A collector waiting on `parts` per-part completions.
     pub(crate) fn new(parts: usize) -> Self {
         SharedCollector {
-            remaining: Mutex::new(parts),
-            done: Condvar::new(),
+            latch: StatementLatch::new(parts),
             chunks: Mutex::new(Vec::new()),
             cancelled: AtomicBool::new(false),
         }
@@ -220,61 +220,36 @@ impl SharedCollector {
 
     /// Marks one attached part as fully served.
     fn complete_part(&self) {
-        let mut remaining = self.remaining.lock();
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
+        self.latch.count_down();
     }
 
-    /// Blocks until every part completed, then trims and materializes each
-    /// chunk's positions in global row order. Chunk starts are unique per
-    /// statement (parts partition the row space and chunks partition each
-    /// pass), so sorting by start and concatenating reproduces the
-    /// sequential scan order exactly.
+    /// Blocks until every part completed, then materializes the statement's
+    /// values in global row order.
     #[cfg(test)]
     pub(crate) fn wait(&self) -> Vec<i64> {
-        self.wait_until(None).expect("waits without a deadline cannot expire")
+        let chunks = self.wait_raw_until(None).expect("waits without a deadline cannot expire");
+        chunks
+            .iter()
+            .flat_map(|c| numascan_storage::materialize_positions(c.column(), c.served_positions()))
+            .collect()
     }
 
-    /// [`SharedCollector::wait`] with an optional absolute deadline. Returns
+    /// Blocks until every part completed (or the optional absolute deadline
+    /// expired) and returns the served chunk references sorted by global row
+    /// start; the waiter trims, materializes or folds them on its own thread,
+    /// so one sweep serves scan and aggregate statements alike. Returns
     /// `None` exactly when the deadline expired first; the collector is then
     /// marked cancelled so every sweep it is attached to purges the
     /// attachment at its next chunk boundary.
-    pub(crate) fn wait_until(&self, deadline: Option<Instant>) -> Option<Vec<i64>> {
-        let chunks = self.wait_raw_until(deadline)?;
-        let mut out = Vec::new();
-        for chunk in chunks {
-            // Ascending positions make the query's share a prefix cut.
-            out.extend(materialize_positions(chunk.column(), chunk.served_positions()));
-        }
-        Some(out)
-    }
-
-    /// The raw form of [`SharedCollector::wait_until`]: blocks the same way
-    /// but returns the served chunk references (sorted by global row start)
-    /// instead of materializing them — the hook aggregate waiters fold the
-    /// sweep's mask stream through, so one sweep serves scan and aggregate
-    /// statements alike.
     pub(crate) fn wait_raw_until(&self, deadline: Option<Instant>) -> Option<Vec<ChunkRef>> {
-        let mut remaining = self.remaining.lock();
-        while *remaining > 0 {
-            match deadline {
-                None => self.done.wait(&mut remaining),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        self.cancelled.store(true, Ordering::SeqCst);
-                        return None;
-                    }
-                    let _ = self.done.wait_for(&mut remaining, deadline - now);
-                }
-            }
+        if !self.latch.wait_until(deadline) {
+            self.cancelled.store(true, Ordering::SeqCst);
+            return None;
         }
-        drop(remaining);
         let mut chunks = std::mem::take(&mut *self.chunks.lock());
         // Chunk starts are unique per statement (parts partition the row
-        // space and chunks partition each pass), so this order is total.
+        // space and chunks partition each pass), so sorting by start and
+        // concatenating reproduces the sequential scan order exactly.
         chunks.sort_unstable_by_key(|chunk| chunk.global_start);
         Some(chunks)
     }
@@ -611,8 +586,8 @@ impl SharedScanRegistry {
                     .map(Arc::new)
                     .collect();
             // Hand every query a reference to its lane's match list; the
-            // client trims and materializes at wait(), so fan-out here costs
-            // one Arc clone per query no matter how wide the waiting set is.
+            // client trims and folds after the wait, so fan-out here costs one
+            // Arc clone per query no matter how wide the waiting set is.
             let global_start = sweep.global_base + chunk.start;
             for ((slot, take), collector) in slot_of.iter().zip(&takes).zip(&collectors) {
                 collector.push(ChunkRef {

@@ -5,7 +5,7 @@ use numascan::core::adaptive::{AdaptiveDataPlacer, ColumnHeat, PlacerAction};
 use numascan::core::cost::CostModel;
 use numascan::core::{
     Catalog, ColumnRef, NativeEngine, PlacedTable, PlacementStrategy, QueryKind, ScanPlanner,
-    SimConfig, SimEngine,
+    ScanRequest, SimConfig, SimEngine,
 };
 use numascan::numasim::{Machine, Topology};
 use numascan::scheduler::SchedulingStrategy;
@@ -23,7 +23,7 @@ fn native_engine_agrees_with_a_sequential_reference_scan() {
 
     let engine =
         NativeEngine::new(table, &Topology::four_socket_ivybridge_ex(), SchedulingStrategy::Bound);
-    let got = engine.count_between("col002", 10, 90, 4).unwrap();
+    let got = engine.execute(&ScanRequest::between("col002", 10, 90), 4).unwrap().into_rows().len();
     assert_eq!(got, expected);
     assert!(engine.scheduler_stats().executed > 0);
     engine.shutdown();
@@ -38,14 +38,14 @@ fn native_engine_results_are_identical_across_scheduling_strategies() {
             &Topology::four_socket_ivybridge_ex(),
             SchedulingStrategy::Bound,
         );
-        let out = engine.scan_between("col001", 0, 50, 2).unwrap();
+        let out = engine.execute(&ScanRequest::between("col001", 0, 50), 2).unwrap().into_rows();
         engine.shutdown();
         out
     };
     for strategy in [SchedulingStrategy::Os, SchedulingStrategy::Target] {
         let table = small_real_table(30_000, 2, 77);
         let engine = NativeEngine::new(table, &Topology::four_socket_ivybridge_ex(), strategy);
-        let out = engine.scan_between("col001", 0, 50, 2).unwrap();
+        let out = engine.execute(&ScanRequest::between("col001", 0, 50), 2).unwrap().into_rows();
         assert_eq!(out, reference, "strategy {strategy:?} changed the query result");
         engine.shutdown();
     }
