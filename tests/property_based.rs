@@ -230,13 +230,15 @@ proptest! {
 
     /// Hybrid layouts are observationally identical: a column re-encoded RLE
     /// answers every scan (positions and bit-vector form) byte-identically
-    /// to its bit-packed original, and a range rebuild (the PP part
-    /// primitive) matches the value-by-value reference column.
+    /// to its bit-packed original, for range and IN-list predicates alike,
+    /// and a range rebuild (the PP part primitive) matches the value-by-value
+    /// reference column.
     #[test]
     fn hybrid_layouts_scan_identically(
         values in proptest::collection::vec(0i64..300, 1..400),
         lo in -10i64..310,
         value_span in 0i64..300,
+        in_list in proptest::collection::vec(-5i64..305, 0..12),
         start in 0usize..400,
         row_span in 0usize..400,
     ) {
@@ -246,16 +248,23 @@ proptest! {
         prop_assert_eq!(rle_col.layout(), IvLayoutKind::Rle);
         let end = (start + row_span).min(values.len());
         let start = start.min(end);
-        let pred = Predicate::Between { lo, hi: lo + value_span };
-        let encoded = pred.encode(col.dictionary());
-        prop_assert_eq!(
-            scan_positions(&col, start..end, &encoded),
-            scan_positions(&rle_col, start..end, &encoded)
-        );
-        prop_assert_eq!(
-            scan_bitvector(&col, start..end, &encoded).to_positions(),
-            scan_bitvector(&rle_col, start..end, &encoded).to_positions()
-        );
+        for pred in [Predicate::Between { lo, hi: lo + value_span }, Predicate::InList(in_list.clone())] {
+            let encoded = pred.encode(col.dictionary());
+            let expected: Vec<u32> = (start..end)
+                .filter(|&i| match &pred {
+                    Predicate::InList(list) => list.contains(&values[i]),
+                    _ => (lo..=lo + value_span).contains(&values[i]),
+                })
+                .map(|i| i as u32)
+                .collect();
+            prop_assert_eq!(&scan_positions(&col, start..end, &encoded), &expected, "{:?}", pred);
+            prop_assert_eq!(&scan_positions(&rle_col, start..end, &encoded), &expected, "{:?}", pred);
+            prop_assert_eq!(
+                scan_bitvector(&col, start..end, &encoded).to_positions(),
+                scan_bitvector(&rle_col, start..end, &encoded).to_positions(),
+                "{:?}", pred
+            );
+        }
 
         let rebuilt = col.rebuild_range("part".to_string(), start..end, false);
         let reference = DictColumn::from_values("part", &values[start..end], false);
