@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use numascan_numasim::Topology;
 use numascan_scheduler::{PoolConfig, SchedulingStrategy, TaskMeta, TaskPriority, ThreadPool};
-use numascan_storage::BitPackedVec;
+use numascan_storage::{BitPackedVec, EncodedPredicate, VidRange};
 
 use crate::harness::{fmt, ResultTable};
 use crate::scale::ExperimentScale;
@@ -62,6 +62,11 @@ fn scan_bandwidth_table(scale: &ExperimentScale) -> ResultTable {
         let width = domain / 8;
         let bounds: Vec<(u32, u32)> =
             (0..BATCH as u32).map(|q| (q * width, q * width + width / 2)).collect();
+        let predicates: Vec<EncodedPredicate> = bounds
+            .iter()
+            .map(|&(first, last)| EncodedPredicate::Range(VidRange { first, last }))
+            .collect();
+        let predicates: Vec<&EncodedPredicate> = predicates.iter().collect();
 
         let (single, single_hits) = best_of(3, || {
             let mut hits = 0u64;
@@ -74,7 +79,7 @@ fn scan_bandwidth_table(scale: &ExperimentScale) -> ResultTable {
         });
         let (batched, batched_hits) = best_of(3, || {
             let mut hits = 0u64;
-            packed.scan_range_masks_batch(0..rows, &bounds, |_, _, masks| {
+            packed.scan_masks_batch(0..rows, &predicates, |_, _, masks| {
                 for mask in masks {
                     hits += mask.count_ones() as u64;
                 }

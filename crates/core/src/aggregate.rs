@@ -10,7 +10,7 @@
 //!
 //! Fusion is the point. The accumulators consume the SWAR kernels'
 //! *mask-stream* contract ([`accumulate_filtered`] drives
-//! `IndexVector::scan_range_masks` directly): a qualifying row goes straight
+//! `IndexVector::scan_masks` directly): a qualifying row goes straight
 //! from the predicate kernel's match mask into the aggregate table — no
 //! position list is materialized, no value vector is built, and the
 //! per-match cost is one gather plus one accumulate. The shared scan path
@@ -460,9 +460,8 @@ impl<'a> RowReader<'a> {
 
 /// The fused scan→aggregate kernel: evaluates `predicate` over `positions`
 /// of the filter column and folds every qualifying row straight into `acc` —
-/// no materialized position list. Range predicates ride the SWAR mask-stream
-/// contract (`scan_range_masks`, both layouts); vid-list predicates probe
-/// the precomputed matcher over the decode stream.
+/// no materialized position list. Every predicate shape, range or `IN` list,
+/// rides the layout's mask stream (`IndexVector::scan_masks`, both layouts).
 pub fn accumulate_filtered(
     filter: &DictColumn<i64>,
     positions: Range<usize>,
@@ -470,33 +469,12 @@ pub fn accumulate_filtered(
     reader: &RowReader<'_>,
     acc: &mut GroupAccumulator,
 ) {
-    match predicate {
-        EncodedPredicate::Empty => {}
-        EncodedPredicate::Range(range) => {
-            filter.index_vector().scan_range_masks(
-                positions,
-                range.first,
-                range.last,
-                |base, _, mask| {
-                    let mut m = mask;
-                    while m != 0 {
-                        let bit = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        reader.feed(base + bit, acc);
-                    }
-                },
-            );
+    filter.index_vector().scan_masks(positions, predicate, |base, _, mut mask| {
+        while mask != 0 {
+            reader.feed(base + mask.trailing_zeros() as usize, acc);
+            mask &= mask - 1;
         }
-        EncodedPredicate::VidList(_) => {
-            let matcher = predicate.matcher_for_rows(positions.len());
-            let start = positions.start;
-            for (i, vid) in filter.index_vector().iter_range(positions).enumerate() {
-                if matcher.matches(vid) {
-                    reader.feed(start + i, acc);
-                }
-            }
-        }
-    }
+    });
 }
 
 /// The shared-path accumulate: folds a sweep chunk's (filter-local,
@@ -633,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn vid_list_predicates_take_the_matcher_path_and_agree() {
+    fn vid_list_predicates_ride_the_mask_stream_and_agree() {
         let table = test_table(8_000);
         let predicate = Predicate::InList(vec![3, 17, 55, 99]);
         let spec = spec_all(Some("g"));

@@ -2,7 +2,7 @@
 //!
 //! The paper's engine serves many concurrent clients; the number of
 //! *currently active statements* is what drives the concurrency hint's task
-//! granularity (Section 5.2 / reference [28]): one active statement is split
+//! granularity (Section 5.2 / reference \[28\]): one active statement is split
 //! across the whole machine, many concurrent statements each become a handful
 //! of tasks (down to one) to avoid scheduling overhead.
 //!

@@ -1,6 +1,6 @@
 //! The concurrency hint.
 //!
-//! The paper's earlier work (reference [28]) introduced a *concurrency hint*
+//! The paper's earlier work (reference \[28\]) introduced a *concurrency hint*
 //! that dynamically adjusts the task granularity of partitionable analytical
 //! operations such as scans: under low concurrency a query is split into many
 //! tasks to use the whole machine, under high concurrency each query is split

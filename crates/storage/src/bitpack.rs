@@ -20,11 +20,32 @@
 //! * the result is a stream of **match masks** — one bit per row, compacted
 //!   to the low bits of a `u64` — consumed by popcount (`count_range`, which
 //!   popcounts the sentinel bits and skips compaction), word-wise ORs into a
-//!   bit-vector, or `trailing_zeros` iteration for position lists. No
-//!   per-element decode happens anywhere on the hot path.
+//!   bit-vector, or `trailing_zeros` iteration for position lists.
+//!
+//! Every predicate shape yields that one mask stream
+//! ([`BitPackedVec::scan_masks`]). A range is one lane test. An `IN` list,
+//! compiled once into sorted vid runs ([`VidRuns`]), first takes the lane
+//! test of its bounding range, which rejects windows without a candidate
+//! lane as cheaply as a range scan rejects them. Surviving windows are
+//! decided in registers, by run count and bitcase alone:
+//!
+//! * when the list has no more runs than the window has lanes, one lane test
+//!   per run is ORed — an equality test (xor, then a carry into each lane's
+//!   top bit detects a nonzero lane) for a single vid, the range test for a
+//!   longer run,
+//! * otherwise each lane's code is shifted out of the loaded window and
+//!   probed against the list's bitmap (a binary search over the runs stands
+//!   in when the list spans too many vids for a bitmap).
+//!
+//! No per-element decode happens anywhere on the hot path: rows are read
+//! only as packed windows, whatever the predicate.
 //!
 //! The pre-rework scalar kernel is retained as [`BitPackedVec::scan_range_scalar`],
 //! the reference oracle the property tests compare every SWAR path against.
+
+use std::ops::Range;
+
+use crate::predicate::{EncodedPredicate, VidRange, VidRuns};
 
 /// Smallest number of bits able to represent `max_value` (at least 1).
 pub fn bits_for_max_value(max_value: u64) -> u8 {
@@ -176,14 +197,16 @@ impl WindowPlan {
     }
 }
 
-/// Replicated range constants of *one* predicate of a batched window scan.
+/// Replicated constants of *one* vid range tested against a window's lanes:
+/// a range predicate, one run of an `IN` list, or a list's bounding range.
 ///
-/// The batched kernel ([`BitPackedVec::scan_range_masks_batch`]) shares one
-/// window layout (all predicates see the same bitcase) but carries one set of
-/// these per attached predicate. The lane-top-bit flags that the single-query
-/// kernel monomorphizes (`MINH`/`MAXH`) are dynamic here — stored as all-ones
-/// or all-zero words so the per-window evaluation stays branch-free — because
-/// monomorphizing every flag combination of an arbitrary batch is impossible.
+/// The batched kernel ([`BitPackedVec::scan_masks_batch`]) shares one window
+/// layout (all predicates see the same bitcase) but carries these per
+/// attached predicate, and an `IN` list carries them per run. The
+/// lane-top-bit flags that the single-range kernel monomorphizes
+/// (`MINH`/`MAXH`) are dynamic here — stored as all-ones or all-zero words so
+/// the per-window evaluation stays branch-free — because monomorphizing every
+/// flag combination of an arbitrary batch is impossible.
 #[derive(Debug, Clone, Copy)]
 struct BatchLane {
     /// `min`'s low `bits - 1` bits replicated into every lane.
@@ -194,9 +217,6 @@ struct BatchLane {
     minh: u64,
     /// `u64::MAX` when `max`'s lane top bit is set, else 0.
     maxh: u64,
-    /// `false` for an inverted or out-of-domain predicate: its mask slot is
-    /// always zero and its constants are meaningless.
-    satisfiable: bool,
 }
 
 impl BatchLane {
@@ -216,13 +236,7 @@ impl BatchLane {
             max_low_p1,
             minh: if (min >> (bits - 1)) & 1 == 1 { u64::MAX } else { 0 },
             maxh: if (max >> (bits - 1)) & 1 == 1 { u64::MAX } else { 0 },
-            satisfiable: true,
         }
-    }
-
-    /// A lane that never matches (its mask slot is written as zero directly).
-    fn unsatisfiable() -> BatchLane {
-        BatchLane { min_low: 0, max_low_p1: 0, minh: 0, maxh: 0, satisfiable: false }
     }
 
     /// Branch-free dynamic-flag variant of [`WindowPlan::matches`]: the
@@ -238,6 +252,214 @@ impl BatchLane {
         let le_max = !(((x & u) & self.maxh) | ((x | u) & !self.maxh));
         ge_min & le_max & high
     }
+}
+
+/// How one predicate decides the lanes of a window, compiled per scan call
+/// from the encoded predicate and the bitcase alone.
+struct PredicateLanes<'a> {
+    /// The predicate's bounding vid range, clipped to the bitcase.
+    bound: VidRange,
+    /// Lane test of `bound`: the whole answer for a single run, the
+    /// candidate filter for a list.
+    lane: BatchLane,
+    /// How candidate lanes of a list are decided.
+    runs: RunTest<'a>,
+}
+
+/// Membership of the lanes that passed a list's bounding-range test.
+enum RunTest<'a> {
+    /// A range, or a list of one run: the bounding test is the answer.
+    One,
+    /// No more runs than the window has lanes: OR one lane test per run.
+    Any(AnyRun),
+    /// More runs than lanes: probe every lane's code against the bitmap.
+    Bitmap(SpanBitmap<'a>),
+    /// More runs than lanes over a span too wide for a bitmap: binary-search
+    /// each candidate lane's code in the runs.
+    Search(&'a VidRuns),
+}
+
+/// The lane tests of a list's runs, ORed per window: a single-vid run is an
+/// equality test (five word operations), a longer run a range test
+/// ([`BatchLane`]).
+struct AnyRun {
+    /// Each single-vid run's code replicated into every lane.
+    points: Vec<u64>,
+    /// Every other run's range test.
+    spans: Vec<BatchLane>,
+    /// The low `bits - 1` bits of every lane.
+    low: u64,
+}
+
+impl AnyRun {
+    /// Decides the `candidates` of window `x`; returns the compacted mask.
+    #[inline(always)]
+    fn hits(&self, candidates: u64, x: u64, plan: &WindowPlan, bits: u32) -> u64 {
+        if candidates == 0 {
+            return 0;
+        }
+        // A lane equals the point iff `y = x ^ point` is zero in it: adding
+        // the low-bit mask to its low bits carries into the lane's top bit
+        // exactly when they are nonzero, and never past the lane.
+        let low = self.low;
+        let mut hits = self.points.iter().fold(0, |hits, &point| {
+            let y = x ^ point;
+            hits | !(((y & low) + low) | y)
+        });
+        hits =
+            self.spans.iter().fold(hits & plan.high, |hits, run| hits | run.matches(x, plan.high));
+        plan.compact(hits, bits - 1)
+    }
+}
+
+/// A list's membership bitmap, laid out for the lane probe.
+#[derive(Clone, Copy)]
+struct SpanBitmap<'a> {
+    /// The vid bit 0 stands for.
+    base: u32,
+    /// The last bit index: inside the zero padding word every code outside
+    /// the span is clamped onto.
+    pad: u32,
+    words: &'a [u64],
+}
+
+impl<'a> PredicateLanes<'a> {
+    /// `None` when no code a `bits`-bit lane can hold qualifies.
+    fn compile(bits: u8, predicate: &'a EncodedPredicate) -> Option<PredicateLanes<'a>> {
+        let mut bound = predicate.lane_bounds(bits)?;
+        // A list's runs holding a code the lane can store; the bound ends
+        // with the last of them.
+        let list = match predicate {
+            EncodedPredicate::VidList(list) => {
+                let runs = &list.runs()[..list.runs().partition_point(|r| r.first <= bound.last)];
+                bound.last = bound.last.min(runs[runs.len() - 1].last);
+                Some((list, runs))
+            }
+            _ => None,
+        };
+        let bits = u32::from(bits);
+        let lane = |r: &VidRange| BatchLane::replicate(bits, r.first, r.last.min(bound.last));
+        let runs = match list {
+            Some((list, runs)) => match (runs.len(), list.span_bitmap()) {
+                (1, _) => RunTest::One,
+                (n, _) if n <= (64 / bits) as usize => {
+                    let replicate =
+                        |code: u64| (0..64 / bits).fold(0, |word, i| word | code << (i * bits));
+                    let (points, spans): (Vec<&VidRange>, Vec<&VidRange>) =
+                        runs.iter().partition(|r| r.first == r.last);
+                    RunTest::Any(AnyRun {
+                        points: points.iter().map(|r| replicate(r.first.into())).collect(),
+                        spans: spans.into_iter().map(lane).collect(),
+                        low: replicate(low_mask(bits - 1)),
+                    })
+                }
+                (_, Some((base, words))) => {
+                    let pad = (words.len() * 64 - 1) as u32;
+                    RunTest::Bitmap(SpanBitmap { base, pad, words })
+                }
+                (_, None) => RunTest::Search(list),
+            },
+            None => RunTest::One,
+        };
+        Some(PredicateLanes { bound, lane: lane(&bound), runs })
+    }
+
+    /// The compacted match mask of one window `x`.
+    #[inline(always)]
+    fn matches(&self, x: u64, plan: &WindowPlan, bits: u32) -> u64 {
+        let candidates = self.lane.matches(x, plan.high);
+        match &self.runs {
+            RunTest::One => plan.compact(candidates, bits - 1),
+            RunTest::Any(runs) => runs.hits(candidates, x, plan, bits),
+            RunTest::Bitmap(map) => map.hits(candidates, x, bits),
+            RunTest::Search(list) => search_hits(list, candidates, x, bits),
+        }
+    }
+}
+
+/// Decides the `candidates` of window `x` by binary search over the runs of
+/// `list`, one candidate lane at a time; returns the compacted mask.
+#[inline(always)]
+fn search_hits(list: &VidRuns, candidates: u64, x: u64, bits: u32) -> u64 {
+    if candidates == 0 {
+        return 0;
+    }
+    let lane = low_mask(bits);
+    let (mut rest, mut top, mut hits) = (x, bits - 1, 0);
+    for i in 0..64 / bits {
+        if candidates >> top & 1 == 1 && list.contains((rest & lane) as u32) {
+            hits |= 1 << i;
+        }
+        rest >>= bits;
+        top += bits;
+    }
+    hits
+}
+
+impl SpanBitmap<'_> {
+    /// Decides the `candidates` of window `x` by probing every lane's code
+    /// against the bitmap — a fixed trip count without branches, since a
+    /// code outside the span clamps onto the zero padding word; returns the
+    /// compacted mask.
+    #[inline(always)]
+    fn hits(self, candidates: u64, x: u64, bits: u32) -> u64 {
+        if candidates == 0 {
+            return 0;
+        }
+        let (lane, lanes) = (low_mask(bits), low_mask(64 / bits));
+        let (mut rest, mut bit, mut hits) = (x, 1u64, 0);
+        while bit <= lanes {
+            let offset = ((rest & lane) as u32).wrapping_sub(self.base).min(self.pad) as usize;
+            hits |= (self.words[offset >> 6] >> (offset & 63) & 1).wrapping_neg() & bit;
+            rest >>= bits;
+            bit <<= 1;
+        }
+        hits
+    }
+}
+
+/// One window `x` of the batched kernel: every range slot's compacted mask,
+/// then every list slot's.
+#[inline(always)]
+fn evaluate_batch(
+    x: u64,
+    plan: &WindowPlan,
+    bits: u32,
+    ranges: &[(usize, BatchLane)],
+    lists: &[(usize, PredicateLanes<'_>)],
+    masks: &mut [u64],
+) {
+    for &(slot, lane) in ranges {
+        masks[slot] = plan.compact(lane.matches(x, plan.high), bits - 1);
+    }
+    for (slot, lanes) in lists {
+        masks[*slot] = lanes.matches(x, plan, bits);
+    }
+}
+
+/// Clamps a scan request to `len` rows and to the codes a `bits`-bit lane
+/// can hold — both layouts' range kernels share it.
+///
+/// Returns `None` when nothing can match — an empty (or inverted) row range,
+/// an inverted predicate, or `min` beyond the largest code the bitcase can
+/// store; every kernel short-circuits on it identically.
+pub(crate) fn clamp_scan(
+    len: usize,
+    bits: u8,
+    positions: Range<usize>,
+    min: u32,
+    max: u32,
+) -> Option<(usize, usize, u32)> {
+    let end = positions.end.min(len);
+    let start = positions.start.min(end);
+    if start == end || min > max {
+        return None;
+    }
+    let lane_max = low_mask(u32::from(bits)) as u32;
+    if min > lane_max {
+        return None;
+    }
+    Some((start, end, max.min(lane_max)))
 }
 
 /// A densely bit-packed vector of `u32` code words.
@@ -367,7 +589,7 @@ impl BitPackedVec {
 
     /// Iterates over the values of a sub-range (clamped to the vector length)
     /// with the same word-cursor decoder as [`BitPackedVec::iter`].
-    pub fn iter_range(&self, positions: std::ops::Range<usize>) -> BitPackedIter<'_> {
+    pub fn iter_range(&self, positions: Range<usize>) -> BitPackedIter<'_> {
         let end = positions.end.min(self.len);
         let start = positions.start.min(end);
         let bits = u32::from(self.bits);
@@ -391,38 +613,37 @@ impl BitPackedVec {
         it
     }
 
-    /// Clamps a scan request to the vector's rows and representable codes.
+    /// The word-parallel (SWAR) mask kernel for any encoded predicate. For
+    /// every run of up to `64 / bits` consecutive rows of `positions` it
+    /// calls `sink(base, n, mask)`: bit `i` of `mask` (for `i < n`) is set iff
+    /// row `base + i` holds a qualifying code. Bases are emitted in ascending
+    /// order, runs tile the clamped range exactly, and bits `>= n` are zero —
+    /// except that a predicate no code of the bitcase can satisfy (`Empty`,
+    /// an inverted range, or every vid beyond the bitcase) short-circuits and
+    /// emits no runs at all; consumers must not infer row coverage from the
+    /// run stream in that case.
     ///
-    /// Returns `None` when nothing can match — an empty (or inverted) row
-    /// range, an inverted predicate, or `min` beyond the largest code the
-    /// bitcase can store; both kernels short-circuit on it identically.
-    fn clamp_scan(
+    /// Ranges, and lists of one run, take [`BitPackedVec::scan_range_masks`].
+    /// Other `IN` lists take the lane test of their bounding range first:
+    /// windows without a candidate lane cost exactly what a range scan costs.
+    /// Candidate lanes are decided in registers — one lane test per run ORed
+    /// together when the list has no more runs than the window has lanes,
+    /// else a probe of each candidate lane's code against the list.
+    pub fn scan_masks<F: FnMut(usize, u32, u64)>(
         &self,
-        positions: std::ops::Range<usize>,
-        min: u32,
-        max: u32,
-    ) -> Option<(usize, usize, u32)> {
-        let end = positions.end.min(self.len);
-        let start = positions.start.min(end);
-        if start == end || min > max {
-            return None;
+        positions: Range<usize>,
+        predicate: &EncodedPredicate,
+        sink: F,
+    ) {
+        if let Some(lanes) = PredicateLanes::compile(self.bits, predicate) {
+            self.scan_bounded(positions, lanes.bound, &lanes.runs, sink);
         }
-        let lane_max = low_mask(u32::from(self.bits)) as u32;
-        if min > lane_max {
-            return None;
-        }
-        Some((start, end, max.min(lane_max)))
     }
 
-    /// The word-parallel (SWAR) range kernel. For every run of up to
-    /// `64 / bits` consecutive rows of `positions` it calls
-    /// `sink(base, n, mask)`: bit `i` of `mask` (for `i < n`) is set iff row
-    /// `base + i` holds a code in `[min, max]`. Bases are emitted in
-    /// ascending order, runs tile the clamped range exactly, and bits `>= n`
-    /// are zero — except that an unsatisfiable predicate (`min > max`, or
-    /// `min` beyond the bitcase's largest code) short-circuits and emits no
-    /// runs at all; consumers must not infer row coverage from the run
-    /// stream in that case.
+    /// The range kernel behind [`BitPackedVec::scan_masks`], with the same
+    /// mask-stream contract for the predicate `[min, max]` (nothing is
+    /// emitted when `min > max` or `min` is beyond the bitcase's largest
+    /// code).
     ///
     /// Each unaligned 64-bit window starts on a code boundary, so every lane
     /// it fully contains is compared simultaneously via per-lane sentinel-bit
@@ -432,36 +653,111 @@ impl BitPackedVec {
     #[inline]
     pub fn scan_range_masks<F: FnMut(usize, u32, u64)>(
         &self,
-        positions: std::ops::Range<usize>,
+        positions: Range<usize>,
         min: u32,
         max: u32,
+        sink: F,
+    ) {
+        self.scan_bounded(positions, VidRange { first: min, last: max }, &RunTest::One, sink);
+    }
+
+    /// The mask kernels' entry: the lane test of `bound` is monomorphized on
+    /// the bound's lane top bits and its candidates decided by `runs`.
+    #[inline(always)]
+    fn scan_bounded<F: FnMut(usize, u32, u64)>(
+        &self,
+        positions: Range<usize>,
+        bound: VidRange,
+        runs: &RunTest<'_>,
         mut sink: F,
     ) {
-        let Some((start, end, max)) = self.clamp_scan(positions, min, max) else {
+        let (min, max) = (bound.first, bound.last);
+        let Some((start, end, max)) = clamp_scan(self.len, self.bits, positions, min, max) else {
             return;
         };
         let plan = WindowPlan::new(u32::from(self.bits), min, max);
+        let p = &plan;
+        let s = &mut sink;
         match (plan.min_high, plan.max_high) {
-            (false, false) => self.scan_windows::<false, false, F>(&plan, start, end, &mut sink),
-            (false, true) => self.scan_windows::<false, true, F>(&plan, start, end, &mut sink),
-            (true, false) => self.scan_windows::<true, false, F>(&plan, start, end, &mut sink),
-            (true, true) => self.scan_windows::<true, true, F>(&plan, start, end, &mut sink),
+            (false, false) => {
+                self.scan_decided(p, start, end, |x| p.matches::<false, false>(x), runs, s)
+            }
+            (false, true) => {
+                self.scan_decided(p, start, end, |x| p.matches::<false, true>(x), runs, s)
+            }
+            (true, false) => {
+                self.scan_decided(p, start, end, |x| p.matches::<true, false>(x), runs, s)
+            }
+            (true, true) => {
+                self.scan_decided(p, start, end, |x| p.matches::<true, true>(x), runs, s)
+            }
         }
     }
 
-    /// The monomorphized window loop of [`BitPackedVec::scan_range_masks`].
+    /// Runs the window loop with `candidates` (the bounding lane test)
+    /// decided by `runs`, the decision hoisted out of the loop.
     #[inline(always)]
-    fn scan_windows<const MINH: bool, const MAXH: bool, F: FnMut(usize, u32, u64)>(
+    fn scan_decided<C: Fn(u64) -> u64, F: FnMut(usize, u32, u64)>(
         &self,
         plan: &WindowPlan,
         start: usize,
         end: usize,
+        candidates: C,
+        runs: &RunTest<'_>,
+        sink: &mut F,
+    ) {
+        let bits = u32::from(self.bits);
+        match runs {
+            RunTest::One => self.scan_windows(
+                plan,
+                start,
+                end,
+                #[inline(always)]
+                |x| plan.compact(candidates(x), bits - 1),
+                sink,
+            ),
+            RunTest::Any(runs) => self.scan_windows(
+                plan,
+                start,
+                end,
+                #[inline(always)]
+                |x| runs.hits(candidates(x), x, plan, bits),
+                sink,
+            ),
+            // Copied out of `runs`, so the window loop keeps them in
+            // registers.
+            &RunTest::Bitmap(map) => self.scan_windows(
+                plan,
+                start,
+                end,
+                #[inline(always)]
+                move |x| map.hits(candidates(x), x, bits),
+                sink,
+            ),
+            RunTest::Search(list) => self.scan_windows(
+                plan,
+                start,
+                end,
+                #[inline(always)]
+                |x| search_hits(list, candidates(x), x, bits),
+                sink,
+            ),
+        }
+    }
+
+    /// The window loop of the mask kernels: `mask` turns one loaded window
+    /// into its compacted match mask.
+    #[inline(always)]
+    fn scan_windows<M: Fn(u64) -> u64, F: FnMut(usize, u32, u64)>(
+        &self,
+        plan: &WindowPlan,
+        start: usize,
+        end: usize,
+        mask: M,
         sink: &mut F,
     ) {
         let k = plan.k as usize;
-        let bits = u32::from(self.bits);
-        let top_shift = bits - 1;
-        let bits_us = bits as usize;
+        let bits_us = usize::from(self.bits);
         let words = &self.words[..];
 
         // Full windows: `k` codes per unaligned 64-bit load, every window
@@ -470,9 +766,7 @@ impl BitPackedVec {
         let mut row = start;
         let mut bit = start * bits_us;
         while row + k <= end {
-            let x = window_at(words, bit);
-            let mask = plan.compact(plan.matches::<MINH, MAXH>(x), top_shift);
-            sink(row, plan.k, mask);
+            sink(row, plan.k, mask(window_at(words, bit)));
             row += k;
             bit += plan.advance;
         }
@@ -480,84 +774,80 @@ impl BitPackedVec {
         // Tail window: fewer than `k` rows remain; lanes past the tail are
         // masked off (they hold the next rows of the vector, or zeros).
         if row < end {
-            let x = window_at(words, bit);
             let n = (end - row) as u32;
-            let mask = plan.compact(plan.matches::<MINH, MAXH>(x), top_shift) & low_mask(n);
-            sink(row, n, mask);
+            sink(row, n, mask(window_at(words, bit)) & low_mask(n));
         }
     }
 
-    /// The cooperative (batched) range kernel: evaluates a whole *batch* of
-    /// `[min, max]` predicates against each unaligned 64-bit window, reading
+    /// The cooperative (batched) mask kernel: evaluates a whole *batch* of
+    /// encoded predicates against each unaligned 64-bit window, reading
     /// every window from memory exactly once regardless of how many queries
     /// are attached to the sweep.
     ///
     /// For a window of rows starting at `base` the sink receives
     /// `(base, n, masks)` where `masks[q]` is the compacted match mask of
-    /// predicate `bounds[q]` — bit `i < n` set iff row `base + i` holds a
-    /// code in `bounds[q]`. Unlike [`BitPackedVec::scan_range_masks`], the
-    /// emitted windows do **not** tile the range: a union pre-filter (the
-    /// bounding range `[min of mins, max of maxs]` over the satisfiable
-    /// predicates) is evaluated first and windows in which no lane falls in
+    /// `predicates[q]` — bit `i < n` set iff row `base + i` qualifies. Unlike
+    /// [`BitPackedVec::scan_masks`], the emitted windows do **not** tile the
+    /// range: a union pre-filter (the bounding range over every satisfiable
+    /// predicate) is evaluated first and windows in which no lane falls in
     /// the union are skipped without touching the per-query constants — this
     /// is what keeps the per-window cost near-flat in the batch size for the
-    /// clustered, selective predicates shared sweeps serve. An emitted window
-    /// may still have all-zero masks (the union over-approximates any single
-    /// predicate, and a tail window's union hit may sit past the tail).
-    /// Inverted or out-of-domain predicates simply contribute zero masks; if
-    /// no predicate is satisfiable nothing is emitted.
-    pub fn scan_range_masks_batch<F: FnMut(usize, u32, &[u64])>(
+    /// clustered, selective predicates shared sweeps serve. Each predicate is
+    /// a set of vid runs (a range is one run) decided exactly as the
+    /// single-query kernel decides it, so `IN` lists ride the same pass. An
+    /// emitted window may still have all-zero masks (the union
+    /// over-approximates any single predicate, and a tail window's union hit
+    /// may sit past the tail). Unsatisfiable predicates simply contribute
+    /// zero masks; if no predicate is satisfiable nothing is emitted.
+    pub fn scan_masks_batch<F: FnMut(usize, u32, &[u64])>(
         &self,
-        positions: std::ops::Range<usize>,
-        bounds: &[(u32, u32)],
+        positions: Range<usize>,
+        predicates: &[&EncodedPredicate],
         mut sink: F,
     ) {
         let end = positions.end.min(self.len);
         let start = positions.start.min(end);
-        if start == end || bounds.is_empty() {
+        if start == end {
             return;
         }
-        let bits = u32::from(self.bits);
-        let lane_max = low_mask(bits) as u32;
-        let mut union: Option<(u32, u32)> = None;
-        let lanes: Vec<BatchLane> = bounds
-            .iter()
-            .map(|&(min, max)| {
-                if min > max || min > lane_max {
-                    return BatchLane::unsatisfiable();
-                }
-                let max = max.min(lane_max);
-                union = Some(match union {
-                    None => (min, max),
-                    Some((lo, hi)) => (lo.min(min), hi.max(max)),
-                });
-                BatchLane::replicate(bits, min, max)
-            })
-            .collect();
-        let Some((union_min, union_max)) = union else {
+        // Ranges (and one-run lists) keep the tight branch-free lane loop;
+        // other lists are decided in a loop of their own. Slots of
+        // unsatisfiable predicates are never written and stay zero.
+        let mut ranges: Vec<(usize, BatchLane)> = Vec::new();
+        let mut lists: Vec<(usize, PredicateLanes<'_>)> = Vec::new();
+        let mut union: Option<VidRange> = None;
+        for (slot, predicate) in predicates.iter().enumerate() {
+            let Some(lanes) = PredicateLanes::compile(self.bits, predicate) else {
+                continue;
+            };
+            let b = lanes.bound;
+            union =
+                Some(union.map_or(b, |u| VidRange {
+                    first: u.first.min(b.first),
+                    last: u.last.max(b.last),
+                }));
+            match lanes.runs {
+                RunTest::One => ranges.push((slot, lanes.lane)),
+                _ => lists.push((slot, lanes)),
+            }
+        }
+        let Some(union) = union else {
             return;
         };
         // The union plan provides the shared layout (lane geometry and
         // compaction schedule) on top of the pre-filter constants.
-        let plan = WindowPlan::new(bits, union_min, union_max);
-        let union_lane = BatchLane::replicate(bits, union_min, union_max);
-        let top_shift = bits - 1;
+        let bits = u32::from(self.bits);
+        let plan = WindowPlan::new(bits, union.first, union.last);
+        let union_lane = BatchLane::replicate(bits, union.first, union.last);
         let k = plan.k as usize;
         let words = &self.words[..];
-        let mut masks = vec![0u64; lanes.len()];
-
+        let mut masks = vec![0u64; predicates.len()];
         let mut row = start;
         let mut bit = start * bits as usize;
         while row + k <= end {
             let x = window_at(words, bit);
             if union_lane.matches(x, plan.high) != 0 {
-                for (slot, lane) in lanes.iter().enumerate() {
-                    masks[slot] = if lane.satisfiable {
-                        plan.compact(lane.matches(x, plan.high), top_shift)
-                    } else {
-                        0
-                    };
-                }
+                evaluate_batch(x, &plan, bits, &ranges, &lists, &mut masks);
                 sink(row, plan.k, &masks);
             }
             row += k;
@@ -567,14 +857,8 @@ impl BitPackedVec {
             let x = window_at(words, bit);
             if union_lane.matches(x, plan.high) != 0 {
                 let n = (end - row) as u32;
-                let keep = low_mask(n);
-                for (slot, lane) in lanes.iter().enumerate() {
-                    masks[slot] = if lane.satisfiable {
-                        plan.compact(lane.matches(x, plan.high), top_shift) & keep
-                    } else {
-                        0
-                    };
-                }
+                evaluate_batch(x, &plan, bits, &ranges, &lists, &mut masks);
+                masks.iter_mut().for_each(|mask| *mask &= low_mask(n));
                 sink(row, n, &masks);
             }
         }
@@ -587,7 +871,7 @@ impl BitPackedVec {
     /// nonzero masks by `trailing_zeros` iteration.
     pub fn scan_range<F: FnMut(usize)>(
         &self,
-        positions: std::ops::Range<usize>,
+        positions: Range<usize>,
         min: u32,
         max: u32,
         mut on_match: F,
@@ -607,7 +891,7 @@ impl BitPackedVec {
     /// cost profile the word-parallel kernel removes.
     pub fn scan_range_scalar<F: FnMut(usize)>(
         &self,
-        positions: std::ops::Range<usize>,
+        positions: Range<usize>,
         min: u32,
         max: u32,
         mut on_match: F,
@@ -640,8 +924,8 @@ impl BitPackedVec {
     /// Dedicated lean consumer of the window kernel: the per-window match
     /// count is the popcount of the *sentinel* mask directly — the counting
     /// path skips the stride-compaction step entirely.
-    pub fn count_range(&self, positions: std::ops::Range<usize>, min: u32, max: u32) -> usize {
-        let Some((start, end, max)) = self.clamp_scan(positions, min, max) else {
+    pub fn count_range(&self, positions: Range<usize>, min: u32, max: u32) -> usize {
+        let Some((start, end, max)) = clamp_scan(self.len, self.bits, positions, min, max) else {
             return 0;
         };
         let plan = WindowPlan::new(u32::from(self.bits), min, max);
@@ -863,7 +1147,7 @@ mod tests {
 
     fn scalar_matches(
         packed: &BitPackedVec,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         min: u32,
         max: u32,
     ) -> Vec<usize> {
@@ -950,15 +1234,37 @@ mod tests {
         }
     }
 
+    fn range(first: u32, last: u32) -> EncodedPredicate {
+        EncodedPredicate::Range(VidRange { first, last })
+    }
+
+    /// Positions the single-query mask kernel selects.
+    fn mask_positions(
+        packed: &BitPackedVec,
+        range: Range<usize>,
+        predicate: &EncodedPredicate,
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        packed.scan_masks(range, predicate, |base, n, mut mask| {
+            assert_eq!(mask & !low_mask(n), 0, "bits beyond n must be zero");
+            while mask != 0 {
+                out.push(base + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
+        });
+        out
+    }
+
     /// Demultiplexes the batched kernel's mask stream into per-query
     /// position lists.
     fn batch_positions(
         packed: &BitPackedVec,
-        range: std::ops::Range<usize>,
-        bounds: &[(u32, u32)],
+        range: Range<usize>,
+        predicates: &[EncodedPredicate],
     ) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); bounds.len()];
-        packed.scan_range_masks_batch(range, bounds, |base, n, masks| {
+        let refs: Vec<&EncodedPredicate> = predicates.iter().collect();
+        let mut out = vec![Vec::new(); predicates.len()];
+        packed.scan_masks_batch(range, &refs, |base, n, masks| {
             assert!((1..=64).contains(&n));
             for (q, &m) in masks.iter().enumerate() {
                 assert_eq!(m & !low_mask(n), 0, "bits beyond n must be zero");
@@ -972,6 +1278,52 @@ mod tests {
         out
     }
 
+    /// `IN` lists of every kernel shape for a bitcase: one run, a few runs
+    /// (OR side), more runs than lanes in a narrow span (bitmap probe) and in
+    /// a span too wide for a bitmap, and runs ending at the top code.
+    fn list_predicates(bits: u8) -> Vec<EncodedPredicate> {
+        let lane_max = low_mask(u32::from(bits)) as u32;
+        let k = 64 / u32::from(bits);
+        let spread = |n: u32, step: u32| {
+            EncodedPredicate::VidList(VidRuns::from_vids(
+                (0..n).map(|i| i.wrapping_mul(step) & lane_max),
+            ))
+        };
+        vec![
+            spread(1, 1),
+            spread(2, 3),
+            spread(k, 2),
+            spread(k + 1, 2),
+            spread(3 * k + 2, 5),
+            spread(k + 2, lane_max / (k + 2) + 1),
+            EncodedPredicate::VidList(VidRuns::from_vids([
+                lane_max / 3,
+                lane_max.saturating_sub(2),
+                lane_max - 1,
+                lane_max,
+            ])),
+        ]
+    }
+
+    #[test]
+    fn list_kernel_matches_a_scalar_filter_for_every_bitcase() {
+        for bits in 1..=32u8 {
+            let values = mixed_values(bits, 1500);
+            let packed = BitPackedVec::from_slice(bits, &values);
+            for predicate in list_predicates(bits) {
+                for range in [0..values.len(), 3..values.len() - 7, 63..65, 0..1, 700..700] {
+                    let expected: Vec<usize> =
+                        range.clone().filter(|&p| predicate.matches(values[p])).collect();
+                    assert_eq!(
+                        mask_positions(&packed, range.clone(), &predicate),
+                        expected,
+                        "bitcase {bits}, range {range:?}, {predicate:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn batched_kernel_agrees_with_the_single_query_kernel_per_bitcase() {
         for bits in [1u8, 3, 7, 8, 12, 17, 26, 31, 32] {
@@ -979,22 +1331,23 @@ mod tests {
             let values = mixed_values(bits, 1201);
             let packed = BitPackedVec::from_slice(bits, &values);
             let quarter = lane_max / 4;
-            let bounds = [
-                (0u32, lane_max),                 // everything
-                (quarter, lane_max - quarter),    // middle band
-                (quarter.max(1), quarter.max(1)), // point predicate
-                (lane_max / 2, lane_max / 2 + 1), // sentinel boundary
-                (3, 2),                           // inverted: unsatisfiable
-                (lane_max, u32::MAX),             // clamped top code
+            let mut predicates = vec![
+                range(0, lane_max),                    // everything
+                range(quarter, lane_max - quarter),    // middle band
+                range(quarter.max(1), quarter.max(1)), // point predicate
+                range(lane_max / 2, lane_max / 2 + 1), // sentinel boundary
+                range(3, 2),                           // inverted: unsatisfiable
+                range(lane_max, u32::MAX),             // clamped top code
+                EncodedPredicate::Empty,
             ];
+            predicates.extend(list_predicates(bits));
             for range in [0..values.len(), 13..values.len() - 7, 63..65, 0..1, 500..500] {
-                let got = batch_positions(&packed, range.clone(), &bounds);
-                for (q, &(min, max)) in bounds.iter().enumerate() {
-                    let mut expected = Vec::new();
-                    packed.scan_range(range.clone(), min, max, |p| expected.push(p));
+                let got = batch_positions(&packed, range.clone(), &predicates);
+                for (q, predicate) in predicates.iter().enumerate() {
                     assert_eq!(
-                        got[q], expected,
-                        "bitcase {bits}, range {range:?}, predicate {q} [{min}, {max}]"
+                        got[q],
+                        mask_positions(&packed, range.clone(), predicate),
+                        "bitcase {bits}, range {range:?}, predicate {q} {predicate:?}"
                     );
                 }
             }
@@ -1005,9 +1358,11 @@ mod tests {
     fn batched_kernel_with_no_satisfiable_predicate_emits_nothing() {
         let packed = BitPackedVec::from_slice(8, &mixed_values(8, 300));
         let mut called = false;
-        packed.scan_range_masks_batch(0..300, &[(5, 2), (300, 1)], |_, _, _| called = true);
+        let unsatisfiable = [range(5, 2), range(300, 1), EncodedPredicate::from_vids([300, 302])];
+        let refs: Vec<&EncodedPredicate> = unsatisfiable.iter().collect();
+        packed.scan_masks_batch(0..300, &refs, |_, _, _| called = true);
         assert!(!called);
-        packed.scan_range_masks_batch(0..300, &[], |_, _, _| called = true);
+        packed.scan_masks_batch(0..300, &[], |_, _, _| called = true);
         assert!(!called);
     }
 
@@ -1017,25 +1372,17 @@ mod tests {
         // band so most windows miss the union and must not be emitted.
         let values: Vec<u32> = (0..4000).map(|i| i % 100).collect();
         let packed = BitPackedVec::from_slice(8, &values);
-        let bounds = [(10u32, 12u32), (11, 14)];
+        let predicates = [range(10, 12), range(11, 14), EncodedPredicate::from_vids([10, 12, 14])];
+        let got = batch_positions(&packed, 0..values.len(), &predicates);
+        let refs: Vec<&EncodedPredicate> = predicates.iter().collect();
         let mut emitted = 0usize;
-        let mut got = vec![Vec::new(); bounds.len()];
-        packed.scan_range_masks_batch(0..values.len(), &bounds, |base, _, masks| {
-            emitted += 1;
-            for (q, &m) in masks.iter().enumerate() {
-                let mut mask = m;
-                while mask != 0 {
-                    got[q].push(base + mask.trailing_zeros() as usize);
-                    mask &= mask - 1;
-                }
-            }
-        });
+        packed.scan_masks_batch(0..values.len(), &refs, |_, _, _| emitted += 1);
         // 8 lanes per window over a 100-cycle: the union [10, 14] occupies
         // one or two windows per cycle, far fewer than the 500 windows total.
         assert!(emitted < 2 * (values.len() / 100), "union pre-filter not engaged: {emitted}");
-        for (q, &(min, max)) in bounds.iter().enumerate() {
-            let mut expected = Vec::new();
-            packed.scan_range(0..values.len(), min, max, |p| expected.push(p));
+        for (q, predicate) in predicates.iter().enumerate() {
+            let expected: Vec<usize> =
+                (0..values.len()).filter(|&p| predicate.matches(values[p])).collect();
             assert_eq!(got[q], expected, "predicate {q}");
         }
     }

@@ -114,8 +114,22 @@ impl IndexVector {
         }
     }
 
-    /// The range kernel's mask stream; see [`BitPackedVec::scan_range_masks`]
-    /// for the contract both layouts honor.
+    /// The mask stream of any encoded predicate; see
+    /// [`BitPackedVec::scan_masks`] for the contract both layouts honor.
+    #[inline]
+    pub fn scan_masks<F: FnMut(usize, u32, u64)>(
+        &self,
+        positions: std::ops::Range<usize>,
+        predicate: &EncodedPredicate,
+        sink: F,
+    ) {
+        match self {
+            IndexVector::BitPacked(v) => v.scan_masks(positions, predicate, sink),
+            IndexVector::Rle(v) => v.scan_masks(positions, predicate, sink),
+        }
+    }
+
+    /// The mask stream of the range predicate `[min, max]`.
     #[inline]
     pub fn scan_range_masks<F: FnMut(usize, u32, u64)>(
         &self,
@@ -130,32 +144,17 @@ impl IndexVector {
         }
     }
 
-    /// The batched (cooperative) range kernel; see
-    /// [`BitPackedVec::scan_range_masks_batch`] for the shared contract.
-    pub fn scan_range_masks_batch<F: FnMut(usize, u32, &[u64])>(
+    /// The batched (cooperative) mask kernel; see
+    /// [`BitPackedVec::scan_masks_batch`] for the shared contract.
+    pub fn scan_masks_batch<F: FnMut(usize, u32, &[u64])>(
         &self,
         positions: std::ops::Range<usize>,
-        bounds: &[(u32, u32)],
+        predicates: &[&EncodedPredicate],
         sink: F,
     ) {
         match self {
-            IndexVector::BitPacked(v) => v.scan_range_masks_batch(positions, bounds, sink),
-            IndexVector::Rle(v) => v.scan_range_masks_batch(positions, bounds, sink),
-        }
-    }
-
-    /// Calls `on_match(position)` for every element of `positions` whose
-    /// value lies in `[min, max]`.
-    pub fn scan_range<F: FnMut(usize)>(
-        &self,
-        positions: std::ops::Range<usize>,
-        min: u32,
-        max: u32,
-        on_match: F,
-    ) {
-        match self {
-            IndexVector::BitPacked(v) => v.scan_range(positions, min, max, on_match),
-            IndexVector::Rle(v) => v.scan_range(positions, min, max, on_match),
+            IndexVector::BitPacked(v) => v.scan_masks_batch(positions, predicates, sink),
+            IndexVector::Rle(v) => v.scan_masks_batch(positions, predicates, sink),
         }
     }
 
@@ -516,7 +515,7 @@ mod tests {
         for predicate in [
             EncodedPredicate::Empty,
             EncodedPredicate::Range(crate::predicate::VidRange { first: 0, last: 10 }),
-            EncodedPredicate::VidList(vec![1, 2, 3]),
+            EncodedPredicate::from_vids([1, 2, 3, 7]),
         ] {
             let est = col.scan_selectivity_estimate(0..0, &predicate);
             assert_eq!(est, 0.0, "{predicate:?}");

@@ -20,6 +20,8 @@ impl<T: DictValue> Dictionary<T> {
     pub fn from_values(mut values: Vec<T>) -> Self {
         values.sort();
         values.dedup();
+        // The input holds one value per row; keep only the distinct ones.
+        values.shrink_to_fit();
         Dictionary { values }
     }
 
@@ -116,6 +118,9 @@ mod tests {
         assert_eq!(d.len(), 4);
         let vals: Vec<i64> = d.iter().copied().collect();
         assert_eq!(vals, vec![10, 20, 30, 40]);
+        // One value per row goes in; only the distinct ones stay allocated.
+        let d = Dictionary::from_values((0..100_000i64).map(|i| i % 7).collect());
+        assert!(d.values.capacity() < 100, "capacity {}", d.values.capacity());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! The module layout mirrors those concepts: [`dictionary`], [`bitpack`],
 //! [`rle`] (the run-length-encoded hybrid layout), [`zonemap`] (per-zone
-//! min/max-vid aggregates for partition pruning), [`index`], [`column`],
+//! min/max-vid aggregates for partition pruning), [`index`], [`column`](mod@column),
 //! [`predicate`], [`scan`], [`materialize`], [`bitvector`], [`partition`]
 //! (IVP split points and PP physical repartitioning) and [`table`].
 
@@ -53,7 +53,7 @@ pub use dictionary::Dictionary;
 pub use index::InvertedIndex;
 pub use materialize::{materialize_positions, materialize_range};
 pub use partition::{ivp_ranges, PhysicalPartition, PhysicalPartitioning};
-pub use predicate::{EncodedPredicate, Predicate, VidMatcher, VidRange};
+pub use predicate::{EncodedPredicate, Predicate, VidRange, VidRuns};
 pub use rle::{RleIter, RleVec};
 pub use scan::{
     scan_bitvector, scan_positions, scan_positions_batch, scan_positions_with_estimate, MatchList,

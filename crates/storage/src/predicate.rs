@@ -3,8 +3,10 @@
 //! Before a scan or an index lookup starts, the query's predicate is encoded
 //! with vids (Section 5.2): for a range predicate the value boundaries are
 //! replaced by a vid range through the dictionary; for more complex
-//! predicates a list of qualifying vids is built.
+//! predicates a list of qualifying vids is built — here compiled into sorted
+//! runs of consecutive vids ([`VidRuns`]), the form the mask kernels take.
 
+use crate::bitpack::low_mask;
 use crate::dictionary::Dictionary;
 use crate::value::DictValue;
 
@@ -51,101 +53,136 @@ pub enum Predicate<T: DictValue> {
 pub enum EncodedPredicate {
     /// A contiguous vid range (fast path for scans).
     Range(VidRange),
-    /// An explicit list of qualifying vids, sorted ascending.
-    VidList(Vec<u32>),
+    /// Qualifying vids spread over two or more runs, compiled once for the
+    /// mask kernels (a list whose vids coalesce into one run is a `Range`).
+    VidList(VidRuns),
     /// The predicate cannot match anything in this column.
     Empty,
 }
 
-/// Largest vid domain (exclusive upper bound on the highest qualifying vid)
-/// for which [`EncodedPredicate::matcher`] precomputes a membership bitmap
-/// for `VidList` predicates. Above it, a 2^20-bit bitmap (128 KiB) would no
-/// longer be cache-resident and the matcher falls back to binary search.
-pub const VID_BITMAP_MAX_DOMAIN: u32 = 1 << 20;
+/// Widest span (`last - first + 1` vids) of a [`VidRuns`] that carries a
+/// membership bitmap: 8 KiB, cheap to build once per encode. Wider lists
+/// answer probes by binary search over their runs instead.
+pub const VID_BITMAP_MAX_SPAN: u64 = 1 << 16;
 
-/// A per-scan membership structure for an [`EncodedPredicate`], precomputed
-/// once so the per-row test is branch-light: `VidList` predicates over a
-/// small dictionary domain become one bit probe instead of an O(log k)
-/// binary search per row.
-#[derive(Debug, Clone)]
-pub enum VidMatcher<'a> {
-    /// Contiguous vid range: two comparisons.
-    Range(VidRange),
-    /// Dictionary-domain bitmap: bit `vid` is set iff the vid qualifies.
-    Bitmap(Vec<u64>),
-    /// Sorted vid list above the bitmap threshold: binary search.
-    Sorted(&'a [u32]),
-    /// Nothing qualifies.
-    Empty,
+/// The qualifying vids of an `IN` list, compiled once at encode time: sorted,
+/// disjoint runs of consecutive vids (adjacent vids coalesce), plus a
+/// membership bitmap relative to the list's first vid when the span is at
+/// most [`VID_BITMAP_MAX_SPAN`] vids.
+///
+/// The mask kernels decide membership of a window's lanes from this: they OR
+/// one lane test per run when the runs are few, and otherwise probe each
+/// lane's code against the bitmap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VidRuns {
+    /// Ascending, disjoint and non-adjacent.
+    runs: Vec<VidRange>,
+    /// Vids the runs cover.
+    count: u64,
+    /// Bit `vid - runs[0].first` is set iff `vid` qualifies. Only built for
+    /// lists of three or more runs: the kernels OR the run tests of anything
+    /// up to the two lanes of the widest bitcase, so smaller lists never
+    /// probe.
+    bitmap: Option<Vec<u64>>,
 }
 
-impl VidMatcher<'_> {
-    /// Whether a vid qualifies.
-    #[inline]
-    pub fn matches(&self, vid: u32) -> bool {
-        match self {
-            VidMatcher::Range(r) => r.contains(vid),
-            VidMatcher::Bitmap(words) => {
-                // Vids at or above the bitmap domain cannot qualify.
-                words.get(vid as usize / 64).is_some_and(|w| w >> (vid % 64) & 1 == 1)
+impl VidRuns {
+    /// Compiles a list of vids (any order, duplicates allowed).
+    pub fn from_vids(vids: impl IntoIterator<Item = u32>) -> VidRuns {
+        let mut vids: Vec<u32> = vids.into_iter().collect();
+        vids.sort_unstable();
+        vids.dedup();
+        let mut runs: Vec<VidRange> = Vec::new();
+        for vid in vids {
+            match runs.last_mut() {
+                // Sorted and distinct, so `vid > run.last` and the difference
+                // cannot overflow, even at `u32::MAX`.
+                Some(run) if vid - run.last == 1 => run.last = vid,
+                _ => runs.push(VidRange { first: vid, last: vid }),
             }
-            VidMatcher::Sorted(vids) => vids.binary_search(&vid).is_ok(),
-            VidMatcher::Empty => false,
+        }
+        let count = runs.iter().map(VidRange::count).sum();
+        let bitmap = match (runs.first(), runs.last()) {
+            (Some(first), Some(last))
+                if runs.len() > 2
+                    && VidRange { first: first.first, last: last.last }.count()
+                        <= VID_BITMAP_MAX_SPAN =>
+            {
+                let base = first.first;
+                // One zero word past the span: the kernels clamp codes
+                // outside the span onto it.
+                let mut words = vec![0u64; ((last.last - base) as usize >> 6) + 2];
+                for run in &runs {
+                    let (mut lo, hi) = ((run.first - base) as usize, (run.last - base) as usize);
+                    while lo <= hi {
+                        let word_end = (lo | 63).min(hi);
+                        words[lo >> 6] |= low_mask((word_end - lo + 1) as u32) << (lo & 63);
+                        lo = word_end + 1;
+                    }
+                }
+                Some(words)
+            }
+            _ => None,
+        };
+        VidRuns { runs, count, bitmap }
+    }
+
+    /// The runs, ascending.
+    pub(crate) fn runs(&self) -> &[VidRange] {
+        &self.runs
+    }
+
+    /// Number of qualifying vids.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The tightest vid range covering every qualifying vid, if any.
+    pub(crate) fn bounds(&self) -> Option<VidRange> {
+        Some(VidRange { first: self.runs.first()?.first, last: self.runs.last()?.last })
+    }
+
+    /// Whether a vid qualifies: one bitmap probe, or a binary search over the
+    /// runs when the list is too wide for a bitmap.
+    #[inline]
+    pub(crate) fn contains(&self, vid: u32) -> bool {
+        if !self.bounds().is_some_and(|b| b.contains(vid)) {
+            return false;
+        }
+        match &self.bitmap {
+            Some(words) => {
+                let offset = (vid - self.runs[0].first) as usize;
+                words[offset >> 6] >> (offset & 63) & 1 == 1
+            }
+            None => self.runs[self.runs.partition_point(|r| r.last < vid)].first <= vid,
         }
     }
-}
 
-/// Whether precomputing a membership bitmap beats per-row binary search for a
-/// `VidList` probe pass: build cost is the bitmap's *bytes* (zeroing
-/// `(max_vid + 1) / 64` words dominates; filling the handful of list bits is
-/// noise), probe cost saved is one `~log2(list length)`-step binary search
-/// per row. Both sides in comparable per-byte/per-step units — the heuristic
-/// this replaces compared a word count against a row count, 64x apart.
-fn bitmap_pays_off(max_vid: u32, list_len: usize, rows: usize) -> bool {
-    let bitmap_bytes = (max_vid as usize + 1).div_ceil(64) * 8;
-    let search_steps_per_row = list_len.max(2).ilog2() as usize;
-    bitmap_bytes <= rows.saturating_mul(search_steps_per_row)
+    /// The membership bitmap and the vid its bit 0 stands for, if built.
+    pub(crate) fn span_bitmap(&self) -> Option<(u32, &[u64])> {
+        Some((self.runs.first()?.first, self.bitmap.as_deref()?))
+    }
+
+    /// Number of qualifying vids inside `[min, max]`.
+    pub(crate) fn count_within(&self, min: u32, max: u32) -> u64 {
+        let first = self.runs.partition_point(|r| r.last < min);
+        self.runs[first..]
+            .iter()
+            .take_while(|r| r.first <= max)
+            .map(|r| u64::from(r.last.min(max)) - u64::from(r.first.max(min)) + 1)
+            .sum()
+    }
 }
 
 impl EncodedPredicate {
-    /// Precomputes the per-scan membership structure: `VidList` predicates
-    /// whose highest vid is below [`VID_BITMAP_MAX_DOMAIN`] get a
-    /// dictionary-domain bitmap (O(1) probes), larger ones keep binary
-    /// search.
-    pub fn matcher(&self) -> VidMatcher<'_> {
-        self.matcher_for_rows(usize::MAX)
-    }
-
-    /// Like [`EncodedPredicate::matcher`], but only builds the bitmap when
-    /// its initialization cost is amortized over the number of rows about to
-    /// be probed — short per-task chunk scans fall back to binary search
-    /// rather than re-zeroing a large bitmap on every call. The crossover is
-    /// an explicit cost comparison, [`bitmap_pays_off`]: bitmap *bytes* to
-    /// zero and fill versus probe rows weighted by the binary search's
-    /// `log2(list length)` step count (the two sides of the old
-    /// `(max / 64) <= rows` heuristic were in different units — words versus
-    /// rows — putting the crossover off by ~64x).
-    pub fn matcher_for_rows(&self, rows: usize) -> VidMatcher<'_> {
-        match self {
-            EncodedPredicate::Range(r) => VidMatcher::Range(*r),
-            EncodedPredicate::Empty => VidMatcher::Empty,
-            EncodedPredicate::VidList(vids) => {
-                let max_vid = vids.last().copied();
-                match max_vid {
-                    None => VidMatcher::Empty,
-                    Some(max)
-                        if max < VID_BITMAP_MAX_DOMAIN
-                            && bitmap_pays_off(max, vids.len(), rows) =>
-                    {
-                        let mut words = vec![0u64; (max as usize + 1).div_ceil(64)];
-                        for &vid in vids {
-                            words[vid as usize / 64] |= 1u64 << (vid % 64);
-                        }
-                        VidMatcher::Bitmap(words)
-                    }
-                    Some(_) => VidMatcher::Sorted(vids),
-                }
-            }
+    /// The encoded form of a vid list: `Empty` when it names no vid, a
+    /// `Range` when its vids coalesce into one run, compiled runs otherwise.
+    pub fn from_vids(vids: impl IntoIterator<Item = u32>) -> EncodedPredicate {
+        let runs = VidRuns::from_vids(vids);
+        match runs.runs() {
+            [] => EncodedPredicate::Empty,
+            [run] => EncodedPredicate::Range(*run),
+            _ => EncodedPredicate::VidList(runs),
         }
     }
 
@@ -153,7 +190,7 @@ impl EncodedPredicate {
     pub fn vid_count(&self) -> u64 {
         match self {
             EncodedPredicate::Range(r) => r.count(),
-            EncodedPredicate::VidList(v) => v.len() as u64,
+            EncodedPredicate::VidList(v) => v.count(),
             EncodedPredicate::Empty => 0,
         }
     }
@@ -162,7 +199,7 @@ impl EncodedPredicate {
     pub fn matches(&self, vid: u32) -> bool {
         match self {
             EncodedPredicate::Range(r) => r.contains(vid),
-            EncodedPredicate::VidList(v) => v.binary_search(&vid).is_ok(),
+            EncodedPredicate::VidList(v) => v.contains(vid),
             EncodedPredicate::Empty => false,
         }
     }
@@ -171,15 +208,19 @@ impl EncodedPredicate {
     pub fn bounding_range(&self) -> Option<VidRange> {
         match self {
             EncodedPredicate::Range(r) => Some(*r),
-            EncodedPredicate::VidList(v) => {
-                if v.is_empty() {
-                    None
-                } else {
-                    Some(VidRange { first: v[0], last: *v.last().expect("non-empty") })
-                }
-            }
+            EncodedPredicate::VidList(v) => v.bounds(),
             EncodedPredicate::Empty => None,
         }
+    }
+
+    /// The bounding range clipped to the codes a `bits`-bit lane can hold;
+    /// `None` when no such code qualifies (an inverted range, or every vid
+    /// beyond the bitcase). The kernels' shared short-circuit.
+    pub(crate) fn lane_bounds(&self, bits: u8) -> Option<VidRange> {
+        let lane_max = low_mask(u32::from(bits)) as u32;
+        let r = self.bounding_range()?;
+        (r.first <= r.last && r.first <= lane_max)
+            .then(|| VidRange { first: r.first, last: r.last.min(lane_max) })
     }
 }
 
@@ -196,14 +237,7 @@ impl<T: DictValue> Predicate<T> {
                 None => EncodedPredicate::Empty,
             },
             Predicate::InList(values) => {
-                let mut vids: Vec<u32> = values.iter().filter_map(|v| dict.lookup(v)).collect();
-                vids.sort_unstable();
-                vids.dedup();
-                if vids.is_empty() {
-                    EncodedPredicate::Empty
-                } else {
-                    EncodedPredicate::VidList(vids)
-                }
+                EncodedPredicate::from_vids(values.iter().filter_map(|v| dict.lookup(v)))
             }
         }
     }
@@ -252,13 +286,21 @@ mod tests {
     }
 
     #[test]
-    fn in_list_encodes_sorted_unique_vids() {
+    fn in_list_encodes_sorted_coalesced_runs() {
         let d = dict();
-        let p = Predicate::InList(vec![7, 3, 7, 9999]);
+        let p = Predicate::InList(vec![7, 3, 7, 9999, 8, 4, 20]);
         match p.encode(&d) {
-            EncodedPredicate::VidList(v) => assert_eq!(v, vec![3, 7]),
+            EncodedPredicate::VidList(v) => {
+                let runs: Vec<(u32, u32)> = v.runs().iter().map(|r| (r.first, r.last)).collect();
+                assert_eq!(runs, vec![(3, 4), (7, 8), (20, 20)]);
+                assert_eq!(v.count(), 5);
+            }
             other => panic!("expected a vid list, got {other:?}"),
         }
+        // Vids that coalesce into one run are a range.
+        let p = Predicate::InList(vec![12, 10, 11, 11]);
+        assert_eq!(p.encode(&d), EncodedPredicate::Range(VidRange { first: 10, last: 12 }));
+        assert_eq!(Predicate::InList(vec![5000]).encode(&d), EncodedPredicate::Empty);
     }
 
     #[test]
@@ -267,7 +309,7 @@ mod tests {
         assert!(r.matches(5) && r.matches(9) && !r.matches(10));
         assert_eq!(r.bounding_range().unwrap().count(), 5);
 
-        let l = EncodedPredicate::VidList(vec![2, 8]);
+        let l = EncodedPredicate::from_vids([2, 8]);
         assert!(l.matches(8) && !l.matches(5));
         assert_eq!(l.bounding_range(), Some(VidRange { first: 2, last: 8 }));
 
@@ -276,77 +318,51 @@ mod tests {
     }
 
     #[test]
-    fn vid_list_matcher_uses_a_bitmap_below_the_domain_threshold() {
-        let small = EncodedPredicate::VidList(vec![3, 7, 500]);
-        let matcher = small.matcher();
-        assert!(matches!(matcher, VidMatcher::Bitmap(_)));
-        for vid in 0..600u32 {
-            assert_eq!(matcher.matches(vid), [3, 7, 500].contains(&vid), "vid {vid}");
-        }
-        // A vid past the bitmap's domain is simply absent.
-        assert!(!matcher.matches(VID_BITMAP_MAX_DOMAIN + 5));
-
-        let large = EncodedPredicate::VidList(vec![1, VID_BITMAP_MAX_DOMAIN + 9]);
-        let matcher = large.matcher();
-        assert!(matches!(matcher, VidMatcher::Sorted(_)));
-        assert!(matcher.matches(1) && matcher.matches(VID_BITMAP_MAX_DOMAIN + 9));
-        assert!(!matcher.matches(2));
-    }
-
-    #[test]
-    fn bitmap_is_skipped_when_the_scan_is_too_short_to_amortize_it() {
-        // max vid 100_000 -> ~1563 bitmap words; a 10-row probe should not
-        // pay for zeroing them, a 1M-row scan should.
-        let pred = EncodedPredicate::VidList(vec![3, 100_000]);
-        assert!(matches!(pred.matcher_for_rows(10), VidMatcher::Sorted(_)));
-        assert!(matches!(pred.matcher_for_rows(1_000_000), VidMatcher::Bitmap(_)));
-        // Both answer identically.
-        for vid in [0u32, 3, 99_999, 100_000, 100_001] {
-            assert_eq!(
-                pred.matcher_for_rows(10).matches(vid),
-                pred.matcher_for_rows(1_000_000).matches(vid),
-                "vid {vid}"
-            );
-        }
-    }
-
-    #[test]
-    fn bitmap_crossover_sits_exactly_at_the_byte_cost_boundary() {
-        // max vid 6399 -> 100 bitmap words -> 800 bytes to zero. A 2-vid
-        // list costs 1 binary-search step per row, so the bitmap pays off at
-        // exactly 800 probe rows: one row below stays Sorted, at the
-        // boundary and above it flips to Bitmap.
-        let pred = EncodedPredicate::VidList(vec![3, 6399]);
-        assert!(matches!(pred.matcher_for_rows(799), VidMatcher::Sorted(_)));
-        assert!(matches!(pred.matcher_for_rows(800), VidMatcher::Bitmap(_)));
-        // A longer list amortizes faster (4 vids -> 2 steps/row): the same
-        // 800-byte bitmap pays off at 400 rows.
-        let pred = EncodedPredicate::VidList(vec![3, 7, 100, 6399]);
-        assert!(matches!(pred.matcher_for_rows(399), VidMatcher::Sorted(_)));
-        assert!(matches!(pred.matcher_for_rows(400), VidMatcher::Bitmap(_)));
-        // Both sides of every boundary answer identically.
-        let pred = EncodedPredicate::VidList(vec![3, 6399]);
-        for rows in [799usize, 800] {
-            let matcher = pred.matcher_for_rows(rows);
-            for vid in [0u32, 3, 6398, 6399, 6400] {
-                assert_eq!(matcher.matches(vid), pred.matches(vid), "rows {rows}, vid {vid}");
+    fn vid_runs_probe_a_bitmap_only_below_the_span_bound() {
+        let narrow = VidRuns::from_vids([3, 7, 500, 501, 502, 6399]);
+        assert!(narrow.bitmap.is_some());
+        let wide = VidRuns::from_vids([1, 2, 9, VID_BITMAP_MAX_SPAN as u32 + 9]);
+        assert!(wide.bitmap.is_none());
+        // Two runs never probe (every bitcase has at least two lanes to OR).
+        assert!(VidRuns::from_vids([3, 6399]).bitmap.is_none());
+        let at_top = VidRuns::from_vids([u32::MAX - 64, u32::MAX - 3, u32::MAX - 1, u32::MAX]);
+        assert!(at_top.bitmap.is_some());
+        assert_eq!(at_top.count(), 4);
+        for runs in [&narrow, &wide, &at_top] {
+            let bounds = runs.bounds().unwrap();
+            let near = |v: u32| [v.saturating_sub(1), v, v.saturating_add(1)];
+            let probes = [0, 1, 2, 3, 7, 8, 63, 64, 499, 503, 6398, 6399, 6400]
+                .into_iter()
+                .chain(near(bounds.first))
+                .chain(near(bounds.last))
+                .chain(near(VID_BITMAP_MAX_SPAN as u32 + 9))
+                .chain([u32::MAX - 65, u32::MAX - 64, u32::MAX - 2]);
+            for vid in probes {
+                let expected = runs.runs().iter().any(|r| r.contains(vid));
+                assert_eq!(runs.contains(vid), expected, "{runs:?} vid {vid}");
             }
         }
     }
 
     #[test]
-    fn matcher_agrees_with_matches_for_every_variant() {
-        let preds = [
-            EncodedPredicate::Range(VidRange { first: 10, last: 20 }),
-            EncodedPredicate::VidList(vec![0, 63, 64, 100]),
-            EncodedPredicate::Empty,
-        ];
-        for pred in &preds {
-            let matcher = pred.matcher();
-            for vid in 0..130u32 {
-                assert_eq!(matcher.matches(vid), pred.matches(vid), "{pred:?} vid {vid}");
-            }
-        }
+    fn counts_within_bounds_clip_runs() {
+        let runs = VidRuns::from_vids([0, 1, 2, 10, 20, 21, u32::MAX]);
+        assert_eq!(runs.count(), 7);
+        assert_eq!(runs.count_within(1, 20), 4);
+        assert_eq!(runs.count_within(3, 9), 0);
+        assert_eq!(runs.count_within(0, u32::MAX), 7);
+        assert_eq!(runs.count_within(u32::MAX, u32::MAX), 1);
+        assert_eq!(VidRuns::from_vids([]).count_within(0, u32::MAX), 0);
+    }
+
+    #[test]
+    fn lane_bounds_clip_to_the_bitcase() {
+        let list = EncodedPredicate::from_vids([3, 200, 300]);
+        assert_eq!(list.lane_bounds(8), Some(VidRange { first: 3, last: 255 }));
+        assert_eq!(list.lane_bounds(1), None);
+        let inverted = EncodedPredicate::Range(VidRange { first: 9, last: 2 });
+        assert_eq!(inverted.lane_bounds(32), None);
+        assert_eq!(EncodedPredicate::Empty.lane_bounds(32), None);
     }
 
     #[test]

@@ -10,17 +10,21 @@
 //! The kernels honor the exact contracts of the SWAR kernels they substitute
 //! for, so every consumer in [`crate::scan`] works unchanged on either layout:
 //!
-//! * [`RleVec::scan_range_masks`] tiles the clamped range with ascending
-//!   windows of 1..=64 rows (bits `>= n` zero) and emits nothing at all for an
-//!   unsatisfiable predicate,
-//! * [`RleVec::scan_range_masks_batch`] evaluates a whole predicate batch per
+//! * [`RleVec::scan_masks`] tiles the clamped range with ascending windows of
+//!   1..=64 rows (bits `>= n` zero) and emits nothing at all for an
+//!   unsatisfiable predicate — for ranges and `IN` lists alike, testing
+//!   membership once per run,
+//! * [`RleVec::scan_masks_batch`] evaluates a whole predicate batch per
 //!   window behind a union pre-filter and may skip windows entirely,
 //! * predicate bounds are clamped to the bitcase's representable codes
-//!   exactly like [`BitPackedVec::clamp_scan`] does.
+//!   exactly as the bit-packed kernels clamp them.
 //!
 //! The property tests compare both layouts against the retained scalar oracle.
 
-use crate::bitpack::{low_mask, BitPackedVec};
+use std::ops::Range;
+
+use crate::bitpack::{clamp_scan, low_mask, BitPackedVec};
+use crate::predicate::{EncodedPredicate, VidRange};
 
 /// A run-length-encoded vector of `u32` code words.
 ///
@@ -147,7 +151,7 @@ impl RleVec {
     }
 
     /// Iterates over the values of a sub-range (clamped to the vector length).
-    pub fn iter_range(&self, positions: std::ops::Range<usize>) -> RleIter<'_> {
+    pub fn iter_range(&self, positions: Range<usize>) -> RleIter<'_> {
         let end = positions.end.min(self.len);
         let start = positions.start.min(end);
         let remaining = end - start;
@@ -160,40 +164,23 @@ impl RleVec {
         RleIter { starts: &self.starts, vids: &self.vids, len: self.len, run, run_left, remaining }
     }
 
-    /// Clamps a scan request exactly like [`BitPackedVec::clamp_scan`]:
-    /// `None` when nothing can match, otherwise `(start, end, clamped max)`.
-    fn clamp_scan(
+    /// The run-level mask kernel, mask-stream compatible with
+    /// [`BitPackedVec::scan_masks`]: ascending windows of 1..=64 rows tile the
+    /// clamped range exactly, bits `>= n` are zero, and a predicate no code
+    /// of the bitcase can satisfy emits nothing at all. Each window's mask is
+    /// composed from the runs overlapping it — one membership test per run,
+    /// not per row, whatever the predicate's shape.
+    pub fn scan_masks<F: FnMut(usize, u32, u64)>(
         &self,
-        positions: std::ops::Range<usize>,
-        min: u32,
-        max: u32,
-    ) -> Option<(usize, usize, u32)> {
-        let end = positions.end.min(self.len);
-        let start = positions.start.min(end);
-        if start == end || min > max {
-            return None;
-        }
-        let lane_max = low_mask(u32::from(self.bits)) as u32;
-        if min > lane_max {
-            return None;
-        }
-        Some((start, end, max.min(lane_max)))
-    }
-
-    /// The run-level range kernel, mask-stream compatible with
-    /// [`BitPackedVec::scan_range_masks`]: ascending windows of 1..=64 rows
-    /// tile the clamped range exactly, bits `>= n` are zero, and an
-    /// unsatisfiable predicate emits nothing at all. Each window's mask is
-    /// composed from the runs overlapping it — one range comparison per run,
-    /// not per row.
-    pub fn scan_range_masks<F: FnMut(usize, u32, u64)>(
-        &self,
-        positions: std::ops::Range<usize>,
-        min: u32,
-        max: u32,
+        positions: Range<usize>,
+        predicate: &EncodedPredicate,
         mut sink: F,
     ) {
-        let Some((start, end, max)) = self.clamp_scan(positions, min, max) else {
+        let Some(b) = predicate.lane_bounds(self.bits) else {
+            return;
+        };
+        let Some((start, end, _)) = clamp_scan(self.len, self.bits, positions, b.first, b.last)
+        else {
             return;
         };
         let mut run = self.run_index(start);
@@ -206,7 +193,7 @@ impl RleVec {
             loop {
                 let lo = (self.starts[r] as usize).max(base);
                 let hi = self.run_end(r).min(window_end);
-                if hi > lo && self.vids[r] >= min && self.vids[r] <= max {
+                if hi > lo && predicate.matches(self.vids[r]) {
                     mask |= low_mask((hi - lo) as u32) << (lo - base);
                 }
                 if self.run_end(r) >= window_end {
@@ -220,43 +207,43 @@ impl RleVec {
         }
     }
 
-    /// The batched run-level kernel, contract-compatible with
-    /// [`BitPackedVec::scan_range_masks_batch`]: one pass serves the whole
-    /// predicate batch, windows where no run's code falls in the union of the
-    /// satisfiable bounds are skipped (so the emitted windows do **not** tile
-    /// the range), unsatisfiable predicates contribute zero masks, and if no
-    /// predicate is satisfiable nothing is emitted.
-    pub fn scan_range_masks_batch<F: FnMut(usize, u32, &[u64])>(
+    /// [`RleVec::scan_masks`] for the range predicate `[min, max]`.
+    pub fn scan_range_masks<F: FnMut(usize, u32, u64)>(
         &self,
-        positions: std::ops::Range<usize>,
-        bounds: &[(u32, u32)],
+        positions: Range<usize>,
+        min: u32,
+        max: u32,
+        sink: F,
+    ) {
+        let range = EncodedPredicate::Range(VidRange { first: min, last: max });
+        self.scan_masks(positions, &range, sink);
+    }
+
+    /// The batched run-level kernel, contract-compatible with
+    /// [`BitPackedVec::scan_masks_batch`]: one pass serves the whole
+    /// predicate batch, windows where no run's code falls in the union of the
+    /// satisfiable predicates' bounds are skipped (so the emitted windows do
+    /// **not** tile the range), unsatisfiable predicates contribute zero
+    /// masks, and if no predicate is satisfiable nothing is emitted.
+    pub fn scan_masks_batch<F: FnMut(usize, u32, &[u64])>(
+        &self,
+        positions: Range<usize>,
+        predicates: &[&EncodedPredicate],
         mut sink: F,
     ) {
         let end = positions.end.min(self.len);
         let start = positions.start.min(end);
-        if start == end || bounds.is_empty() {
+        if start == end {
             return;
         }
-        let lane_max = low_mask(u32::from(self.bits)) as u32;
-        let mut union: Option<(u32, u32)> = None;
-        let clamped: Vec<Option<(u32, u32)>> = bounds
+        let Some(union) = predicates
             .iter()
-            .map(|&(min, max)| {
-                if min > max || min > lane_max {
-                    return None;
-                }
-                let max = max.min(lane_max);
-                union = Some(match union {
-                    None => (min, max),
-                    Some((lo, hi)) => (lo.min(min), hi.max(max)),
-                });
-                Some((min, max))
-            })
-            .collect();
-        let Some((union_min, union_max)) = union else {
+            .filter_map(|p| p.lane_bounds(self.bits))
+            .reduce(|a, b| VidRange { first: a.first.min(b.first), last: a.last.max(b.last) })
+        else {
             return;
         };
-        let mut masks = vec![0u64; bounds.len()];
+        let mut masks = vec![0u64; predicates.len()];
         let mut run = self.run_index(start);
         let mut base = start;
         while base < end {
@@ -268,15 +255,15 @@ impl RleVec {
             loop {
                 let lo = (self.starts[r] as usize).max(base);
                 let hi = self.run_end(r).min(window_end);
-                if hi > lo {
-                    let vid = self.vids[r];
-                    if vid >= union_min && vid <= union_max {
-                        union_hit = true;
-                        let bits = low_mask((hi - lo) as u32) << (lo - base);
-                        for (slot, c) in clamped.iter().enumerate() {
-                            if c.is_some_and(|(min, max)| vid >= min && vid <= max) {
-                                masks[slot] |= bits;
-                            }
+                let vid = self.vids[r];
+                if hi > lo && union.contains(vid) {
+                    union_hit = true;
+                    let bits = low_mask((hi - lo) as u32) << (lo - base);
+                    for (mask, predicate) in masks.iter_mut().zip(predicates) {
+                        // Codes fit the bitcase, so an unsatisfiable
+                        // predicate never matches one.
+                        if predicate.matches(vid) {
+                            *mask |= bits;
                         }
                     }
                 }
@@ -298,12 +285,12 @@ impl RleVec {
     /// predicate evaluation.
     pub fn scan_range<F: FnMut(usize)>(
         &self,
-        positions: std::ops::Range<usize>,
+        positions: Range<usize>,
         min: u32,
         max: u32,
         mut on_match: F,
     ) {
-        let Some((start, end, max)) = self.clamp_scan(positions, min, max) else {
+        let Some((start, end, max)) = clamp_scan(self.len, self.bits, positions, min, max) else {
             return;
         };
         let mut r = self.run_index(start);
@@ -321,8 +308,8 @@ impl RleVec {
 
     /// Counts the elements of `positions` whose value lies in `[min, max]` by
     /// summing clipped run lengths — no per-row work at all.
-    pub fn count_range(&self, positions: std::ops::Range<usize>, min: u32, max: u32) -> usize {
-        let Some((start, end, max)) = self.clamp_scan(positions, min, max) else {
+    pub fn count_range(&self, positions: Range<usize>, min: u32, max: u32) -> usize {
+        let Some((start, end, max)) = clamp_scan(self.len, self.bits, positions, min, max) else {
             return 0;
         };
         let mut count = 0usize;
@@ -464,14 +451,27 @@ mod tests {
         assert!(!called);
     }
 
+    fn range(first: u32, last: u32) -> EncodedPredicate {
+        EncodedPredicate::Range(VidRange { first, last })
+    }
+
     #[test]
     fn batched_kernel_agrees_with_the_single_query_kernel() {
         let codes = sorted_codes(4000, 100);
         let rle = RleVec::from_codes(7, codes.iter().copied());
-        let bounds = [(0u32, 127u32), (10, 12), (99, 99), (5, 4), (200, 300)];
+        let predicates = [
+            range(0, 127),
+            range(10, 12),
+            range(99, 99),
+            range(5, 4),
+            range(200, 300),
+            EncodedPredicate::from_vids([3, 4, 9, 40, 41, 98, 120]),
+            EncodedPredicate::Empty,
+        ];
+        let refs: Vec<&EncodedPredicate> = predicates.iter().collect();
         for range in [0..codes.len(), 13..3993, 63..65, 0..1, 500..500] {
-            let mut got = vec![Vec::new(); bounds.len()];
-            rle.scan_range_masks_batch(range.clone(), &bounds, |base, n, masks| {
+            let mut got = vec![Vec::new(); predicates.len()];
+            rle.scan_masks_batch(range.clone(), &refs, |base, n, masks| {
                 for (q, &m) in masks.iter().enumerate() {
                     assert_eq!(m & !low_mask(n), 0);
                     let mut mask = m;
@@ -481,16 +481,23 @@ mod tests {
                     }
                 }
             });
-            for (q, &(min, max)) in bounds.iter().enumerate() {
+            for (q, predicate) in predicates.iter().enumerate() {
                 let mut expected = Vec::new();
-                rle.scan_range(range.clone(), min, max, |p| expected.push(p));
+                rle.scan_masks(range.clone(), predicate, |base, _, mut mask| {
+                    while mask != 0 {
+                        expected.push(base + mask.trailing_zeros() as usize);
+                        mask &= mask - 1;
+                    }
+                });
                 assert_eq!(got[q], expected, "range {range:?}, predicate {q}");
             }
         }
         // No satisfiable predicate: nothing is emitted.
         let mut called = false;
-        rle.scan_range_masks_batch(0..4000, &[(5, 2), (300, 400)], |_, _, _| called = true);
-        rle.scan_range_masks_batch(0..4000, &[], |_, _, _| called = true);
+        let unsatisfiable = [range(5, 2), range(300, 400), EncodedPredicate::from_vids([200, 300])];
+        let refs: Vec<&EncodedPredicate> = unsatisfiable.iter().collect();
+        rle.scan_masks_batch(0..4000, &refs, |_, _, _| called = true);
+        rle.scan_masks_batch(0..4000, &[], |_, _, _| called = true);
         assert!(!called);
     }
 
@@ -500,7 +507,9 @@ mod tests {
         let codes: Vec<u32> = (0..4000).map(|i| i / 100).collect();
         let rle = RleVec::from_codes(6, codes.iter().copied());
         let mut emitted = 0usize;
-        rle.scan_range_masks_batch(0..4000, &[(10, 12), (11, 11)], |_, _, _| emitted += 1);
+        let predicates = [range(11, 11), EncodedPredicate::from_vids([10, 12])];
+        let refs: Vec<&EncodedPredicate> = predicates.iter().collect();
+        rle.scan_masks_batch(0..4000, &refs, |_, _, _| emitted += 1);
         // 300 matching rows over 64-row windows: at most 6 emitted windows.
         assert!(emitted <= 6, "union pre-filter not engaged: {emitted} windows");
         assert!(emitted >= 5);

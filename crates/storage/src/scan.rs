@@ -65,11 +65,9 @@ impl MatchList {
 /// instead of silently pre-sizing to zero (`NaN.clamp(…)` is `NaN`, and
 /// `NaN as usize` is 0); infinities clamp to the nearest bound as before.
 ///
-/// Range predicates run on the layout's mask kernel
-/// ([`crate::IndexVector::scan_range_masks`]), recovering positions by
-/// `trailing_zeros` iteration over nonzero masks; vid-list predicates decode
-/// sequentially through the layout's cursor and probe a precomputed
-/// [`crate::predicate::VidMatcher`].
+/// Every predicate shape runs on the layout's mask kernel
+/// ([`crate::IndexVector::scan_masks`]: ranges and `IN` lists alike), and
+/// positions are recovered by `trailing_zeros` iteration over nonzero masks.
 pub fn scan_positions_with_estimate<T: DictValue>(
     column: &DictColumn<T>,
     positions: std::ops::Range<usize>,
@@ -87,21 +85,17 @@ pub fn scan_positions_with_estimate<T: DictValue>(
     };
     let estimate = (rows as f64 * selectivity).ceil() as usize;
     let mut out = Vec::with_capacity(estimate.min(rows));
-    match predicate {
-        EncodedPredicate::Empty => {}
-        EncodedPredicate::Range(r) => {
-            iv.scan_range(start..end, r.first, r.last, |p| out.push(p as u32));
-        }
-        EncodedPredicate::VidList(_) => {
-            let matcher = predicate.matcher_for_rows(rows);
-            for (i, vid) in iv.iter_range(start..end).enumerate() {
-                if matcher.matches(vid) {
-                    out.push((start + i) as u32);
-                }
-            }
-        }
-    }
+    iv.scan_masks(start..end, predicate, |base, _, mask| push_positions(&mut out, base, mask));
     out
+}
+
+/// Appends the rows a match mask selects, `base` being the mask's first row.
+#[inline]
+fn push_positions(out: &mut Vec<u32>, base: usize, mut mask: u64) {
+    while mask != 0 {
+        out.push((base + mask.trailing_zeros() as usize) as u32);
+        mask &= mask - 1;
+    }
 }
 
 /// Scans rows `positions` of the column's index vector and returns the
@@ -127,14 +121,11 @@ pub fn scan_positions<T: DictValue>(
 ///
 /// This is the storage entry point of cooperative shared scans: however many
 /// queries are attached, the index vector's words are streamed from memory
-/// once. Range predicates ride the batched SWAR kernel
-/// ([`crate::BitPackedVec::scan_range_masks_batch`]), whose union pre-filter
-/// skips windows no attached range can match; vid-list predicates share a
-/// second pass bounded by the union of their vid ranges — candidate rows are
-/// found by the single-query SWAR kernel over that bounding range and only
-/// those rows are decoded and probed against each list's
-/// [`crate::predicate::VidMatcher`]. Results are byte-identical to running
-/// [`scan_positions`] per predicate.
+/// once. Every predicate — range or `IN` list — rides the batched mask kernel
+/// ([`crate::IndexVector::scan_masks_batch`]), whose union pre-filter skips
+/// windows no attached predicate can match; positions are recovered from
+/// each query's mask slot by `trailing_zeros` iteration. Results are
+/// byte-identical to running [`scan_positions`] per predicate.
 pub fn scan_positions_batch<T: DictValue>(
     column: &DictColumn<T>,
     positions: std::ops::Range<usize>,
@@ -152,70 +143,21 @@ pub fn scan_positions_batch<T: DictValue>(
             Vec::with_capacity(estimate.min(rows))
         })
         .collect();
-    if rows == 0 {
-        return out;
-    }
-
-    // Range-class predicates: one batched SWAR sweep, positions recovered
-    // from each query's mask slot by trailing_zeros iteration.
-    let mut range_slots: Vec<usize> = Vec::new();
-    let mut bounds: Vec<(u32, u32)> = Vec::new();
-    for (q, predicate) in predicates.iter().enumerate() {
-        if let EncodedPredicate::Range(r) = predicate {
-            range_slots.push(q);
-            bounds.push((r.first, r.last));
+    iv.scan_masks_batch(start..end, predicates, |base, _, masks| {
+        for (list, &mask) in out.iter_mut().zip(masks) {
+            push_positions(list, base, mask);
         }
-    }
-    if !bounds.is_empty() {
-        iv.scan_range_masks_batch(start..end, &bounds, |base, _, masks| {
-            for (slot, &q) in range_slots.iter().enumerate() {
-                let mut mask = masks[slot];
-                while mask != 0 {
-                    out[q].push((base + mask.trailing_zeros() as usize) as u32);
-                    mask &= mask - 1;
-                }
-            }
-        });
-    }
-
-    // Vid-list predicates: one shared pass over the union of their bounding
-    // vid ranges finds candidate rows word-parallel; only candidates are
-    // decoded and probed against every list's matcher.
-    let mut list_slots: Vec<usize> = Vec::new();
-    let mut union: Option<(u32, u32)> = None;
-    for (q, predicate) in predicates.iter().enumerate() {
-        if let EncodedPredicate::VidList(_) = predicate {
-            list_slots.push(q);
-            let r = predicate.bounding_range().expect("vid lists are non-empty");
-            union = Some(match union {
-                None => (r.first, r.last),
-                Some((lo, hi)) => (lo.min(r.first), hi.max(r.last)),
-            });
-        }
-    }
-    if let Some((union_min, union_max)) = union {
-        let matchers: Vec<_> =
-            list_slots.iter().map(|&q| predicates[q].matcher_for_rows(rows)).collect();
-        iv.scan_range(start..end, union_min, union_max, |pos| {
-            let vid = iv.decode_at(pos);
-            for (slot, &q) in list_slots.iter().enumerate() {
-                if matchers[slot].matches(vid) {
-                    out[q].push(pos as u32);
-                }
-            }
-        });
-    }
-
+    });
     out
 }
 
 /// Scans rows `positions` of the column's index vector and returns the
 /// qualifying positions as a bit-vector anchored at `positions.start`.
 ///
-/// Range predicates OR the kernel's match masks straight into the
-/// bit-vector's words ([`BitVector::or_bits`]); vid-list predicates decode
-/// through the word cursor, batching matches into a 64-bit buffer that is
-/// flushed word-wise — neither path sets bits one at a time.
+/// The layout's mask kernel ([`crate::IndexVector::scan_masks`]) feeds its
+/// match masks straight into the bit-vector's words
+/// ([`BitVector::or_bits`]) for every predicate shape — no bit is set one at
+/// a time.
 pub fn scan_bitvector<T: DictValue>(
     column: &DictColumn<T>,
     positions: std::ops::Range<usize>,
@@ -225,30 +167,7 @@ pub fn scan_bitvector<T: DictValue>(
     let end = positions.end.min(iv.len());
     let start = positions.start.min(end);
     let mut bits = BitVector::new(end - start);
-    match predicate {
-        EncodedPredicate::Empty => {}
-        EncodedPredicate::Range(r) => {
-            iv.scan_range_masks(start..end, r.first, r.last, |base, n, mask| {
-                bits.or_bits(base - start, mask, n);
-            });
-        }
-        EncodedPredicate::VidList(_) => {
-            let matcher = predicate.matcher_for_rows(end - start);
-            let mut pending: u64 = 0;
-            let mut flushed = 0usize;
-            for (i, vid) in iv.iter_range(start..end).enumerate() {
-                if i - flushed == 64 {
-                    bits.or_bits(flushed, pending, 64);
-                    pending = 0;
-                    flushed = i;
-                }
-                pending |= u64::from(matcher.matches(vid)) << (i - flushed);
-            }
-            if start < end {
-                bits.or_bits(flushed, pending, (end - start - flushed) as u32);
-            }
-        }
-    }
+    iv.scan_masks(start..end, predicate, |base, n, mask| bits.or_bits(base - start, mask, n));
     MatchList::Bits { offset: start, bits }
 }
 
@@ -287,8 +206,8 @@ pub fn index_lookup<T: DictValue>(
         EncodedPredicate::Range(r) => ix.positions_in_range(r.first, r.last),
         EncodedPredicate::VidList(vids) => {
             let mut out = Vec::new();
-            for &vid in vids {
-                out.extend_from_slice(ix.positions_of(vid));
+            for run in vids.runs() {
+                out.extend(ix.positions_in_range(run.first, run.last));
             }
             out.sort_unstable();
             out

@@ -41,10 +41,7 @@ impl VidBounds {
         match predicate {
             EncodedPredicate::Empty => false,
             EncodedPredicate::Range(r) => r.first <= self.max && r.last >= self.min,
-            EncodedPredicate::VidList(vids) => {
-                let i = vids.partition_point(|&v| v < self.min);
-                vids.get(i).is_some_and(|&v| v <= self.max)
-            }
+            EncodedPredicate::VidList(vids) => vids.count_within(self.min, self.max) > 0,
         }
     }
 
@@ -59,11 +56,7 @@ impl VidBounds {
                     u64::from(r.last.min(self.max)) - u64::from(r.first.max(self.min)) + 1
                 }
             }
-            EncodedPredicate::VidList(vids) => {
-                let lo = vids.partition_point(|&v| v < self.min);
-                let hi = vids.partition_point(|&v| v <= self.max);
-                (hi - lo) as u64
-            }
+            EncodedPredicate::VidList(vids) => vids.count_within(self.min, self.max),
         }
     }
 }
@@ -255,9 +248,9 @@ mod tests {
         assert!(zone0.overlaps(&range(0, 5)));
         assert!(!zone1.overlaps(&range(0, 5)));
         assert!(zone1.overlaps(&range(500, 2000)));
-        let list = EncodedPredicate::VidList(vec![3, 999, 1001]);
+        let list = EncodedPredicate::from_vids([3, 999, 1001]);
         assert!(!zone1.overlaps(&list), "no listed vid hits [1000, 1000]");
-        assert!(zone0.overlaps(&EncodedPredicate::VidList(vec![0])));
+        assert!(zone0.overlaps(&EncodedPredicate::from_vids([0, 7])));
         assert!(!zone0.overlaps(&EncodedPredicate::Empty));
     }
 
@@ -286,7 +279,7 @@ mod tests {
         assert_eq!(est, 0.0);
         assert!(map.estimate_selectivity(5..5, &range(0, 10)).is_none());
         // Vid lists count only the vids inside the local bounds.
-        let list = EncodedPredicate::VidList(vec![1, 2, 100_000]);
+        let list = EncodedPredicate::from_vids([1, 2, 100_000]);
         let est = map.estimate_selectivity(0..ZONE_ROWS, &list).unwrap();
         assert!((est - 2.0 / ZONE_ROWS as f64).abs() < 1e-12);
     }

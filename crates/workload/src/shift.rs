@@ -4,7 +4,7 @@
 //! that *change*: a BW-EML-style reporting load moves its focus from one
 //! InfoCube to another, and a placement chosen for phase one is wrong for
 //! phase two. This module models that shape against the native engine: a
-//! [`ShiftWorkload`] is a sequence of phases, each phase hammering a hot set
+//! [`ShiftConfig`] is a sequence of [`ShiftPhase`]s, each phase hammering a hot set
 //! of columns with seeded mixed range/IN-list scans from N concurrent
 //! clients, and [`replay_shift`] drives it through the session layer epoch by
 //! epoch, optionally running the adaptive placer's closed loop between

@@ -27,7 +27,7 @@
 //!   routing per-shard requests over a swappable transport with retries,
 //!   backoff, hedging, replica failover, and typed partial degradation —
 //!   all replayable from a seed via the simulated transport.
-//! * [`bench`] — the experiment harness regenerating every table and figure
+//! * [`bench`](mod@bench) — the experiment harness regenerating every table and figure
 //!   of the paper.
 //!
 //! ## Quick start

@@ -8,16 +8,33 @@
 //! busy CI machine cannot flake the test; each side additionally takes the
 //! best of several runs.
 //!
+//! A second kind of gate compares two shapes of the same scan in one
+//! process: an `IN` list must cost about what a range of like selectivity
+//! costs on the same column. Both are timed back to back in interleaved
+//! rounds and their medians compared, so host drift cancels out of the ratio.
+//!
 //! The timing assertion is only meaningful with optimizations on, so the test
 //! is ignored in debug builds and run by CI via
 //! `cargo test --release --test perf_smoke`.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use numascan::storage::{BitPackedVec, DictColumn, PhysicalPartitioning};
+use numascan::storage::{
+    scan_positions, BitPackedVec, DictColumn, PhysicalPartitioning, Predicate,
+};
 
 const ROWS: usize = 4_000_000;
 const RUNS: usize = 5;
+
+/// Held by every test while it times: the harness runs tests on parallel
+/// threads, and a timing taken while another test loads the cores measures
+/// the contention. A panicking holder leaves nothing to repair.
+static TIMING: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn packed_column(bits: u8) -> BitPackedVec {
     let mask = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
@@ -67,6 +84,7 @@ fn assert_speedup(bits: u8, selectivity: f64, factor: f64) {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing assertions require a release build")]
 fn word_parallel_kernel_beats_scalar_reference_on_4m_rows() {
+    let _timing = exclusive();
     // Bitcases 8 and 12: eight and five codes per loaded window. Both run
     // well above 3x in practice; 2x is the flake-proof floor.
     assert_speedup(8, 0.05, 2.0);
@@ -76,6 +94,7 @@ fn word_parallel_kernel_beats_scalar_reference_on_4m_rows() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing assertions require a release build")]
 fn word_parallel_kernel_wins_at_the_paper_widest_bitcases() {
+    let _timing = exclusive();
     // Bitcase 17 (the dataset's smallest bitcase: 3 codes per window) runs
     // around 2x; 1.4x is the conservative gate. Bitcase 26 packs only 2
     // codes per window and its win is smallest — gate it below parity so a
@@ -88,6 +107,7 @@ fn word_parallel_kernel_wins_at_the_paper_widest_bitcases() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing assertions require a release build")]
 fn physical_repartitioning_beats_the_per_row_value_rebuild() {
+    let _timing = exclusive();
     // PP rebuilds used to clone every value out of the dictionary and
     // re-deduplicate from scratch; the code-level rebuild (presence bitmap
     // over the packed vids, one clone per *distinct* value, dense remap)
@@ -116,5 +136,76 @@ fn physical_repartitioning_beats_the_per_row_value_rebuild() {
         fast.as_secs_f64() * 1.3 <= naive.as_secs_f64(),
         "code-level PP rebuild ({fast:?}) must be at least 1.3x faster than the per-row \
          value rebuild ({naive:?}) over {rows} rows"
+    );
+}
+
+/// Median wall time of each of two closures, timed back to back in `rounds`
+/// interleaved rounds (alternating which goes first).
+fn paired_medians(
+    rounds: usize,
+    mut a: impl FnMut() -> usize,
+    mut b: impl FnMut() -> usize,
+) -> (Duration, Duration) {
+    let time = |f: &mut dyn FnMut() -> usize| {
+        let started = Instant::now();
+        std::hint::black_box(f());
+        started.elapsed()
+    };
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            ta.push(time(&mut a));
+            tb.push(time(&mut b));
+        } else {
+            tb.push(time(&mut b));
+            ta.push(time(&mut a));
+        }
+    }
+    ta.sort_unstable();
+    tb.sort_unstable();
+    (ta[rounds / 2], tb[rounds / 2])
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing assertions require a release build")]
+fn in_lists_cost_about_what_a_range_costs() {
+    let _timing = exclusive();
+    // 2^17 distinct values, each ~30 times: a 17-bit column (3 codes per
+    // window), where an IN list has more runs than a window has lanes.
+    let domain = 1i64 << 17;
+    let values: Vec<i64> = (0..ROWS as i64).map(|i| (i * 7919) % domain).collect();
+    let column = DictColumn::from_values("c", &values, false);
+    assert_eq!(column.bitcase(), 17);
+    let in_list = Predicate::InList(vec![1000, 1060, 1120, 1180, 1249]);
+    let between = Predicate::Between { lo: 1000, hi: 1003 };
+    let expected = |p: &Predicate<i64>| {
+        values
+            .iter()
+            .filter(|v| match p {
+                Predicate::InList(list) => list.contains(v),
+                _ => (1000..=1003).contains(*v),
+            })
+            .count()
+    };
+    let (list_expected, range_expected) = (expected(&in_list), expected(&between));
+    let in_list = in_list.encode(column.dictionary());
+    let between = between.encode(column.dictionary());
+    let (list, range) = paired_medians(
+        11,
+        || {
+            let got = scan_positions(&column, 0..ROWS, &in_list).len();
+            assert_eq!(got, list_expected);
+            got
+        },
+        || {
+            let got = scan_positions(&column, 0..ROWS, &between).len();
+            assert_eq!(got, range_expected);
+            got
+        },
+    );
+    assert!(
+        list.as_secs_f64() <= 1.5 * range.as_secs_f64(),
+        "a 5-vid IN list ({list:?}, median) must cost at most 1.5x a 4-vid BETWEEN \
+         ({range:?}, median) on the same {ROWS}-row 17-bit column"
     );
 }

@@ -10,8 +10,8 @@ use numascan::scheduler::{
     TaskMeta, TaskPriority, ThreadGroupId, WorkClass, WorkerId, WorkerState,
 };
 use numascan::storage::{
-    scan_bitvector, scan_positions, BitPackedVec, BitVector, DictColumn, Dictionary, InvertedIndex,
-    IvLayoutKind, Predicate, RleVec,
+    scan_bitvector, scan_positions, BitPackedVec, BitVector, DictColumn, Dictionary,
+    EncodedPredicate, InvertedIndex, IvLayoutKind, Predicate, RleVec, VidRuns,
 };
 
 /// Reference model of one queued task, keyed by the id stored as payload.
@@ -66,6 +66,50 @@ fn model_expected_pop(
     None
 }
 
+/// Expands a kernel's mask stream into row positions, checking the tiling
+/// contract on the way: contiguous ascending runs of 1..=64 rows from
+/// `start`, no bits set beyond a run's length. Returns the positions and the
+/// row after the last run.
+fn expand_tiled(stream: &[(usize, u32, u64)], start: usize) -> Result<(Vec<usize>, usize), String> {
+    let mut next = start;
+    let mut positions = Vec::new();
+    for &(base, n, mut m) in stream {
+        if base != next {
+            return Err(format!("runs must tile contiguously: run at {base}, expected {next}"));
+        }
+        if !(1..=64).contains(&n) || (n < 64 && m >> n != 0) {
+            return Err(format!("run at {base} of {n} rows has mask {m:#x}"));
+        }
+        next = base + n as usize;
+        while m != 0 {
+            positions.push(base + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
+    }
+    Ok((positions, next))
+}
+
+/// An `IN` list for the kernel twins, drawn from `raw` in one of five
+/// shapes: spread over the lane domain with a little overhang (at wide
+/// bitcases, spans wider than any bitmap bound), clustered around one vid
+/// (adjacent vids coalesce, more runs than lanes in a narrow span), at the
+/// lane maximum (`u32::MAX` at bitcase 32), the column's own codes and their
+/// successors, or a single code of the column.
+fn kernel_list(shape: u8, raw: &[u64], values: &[u32], mask: u32) -> Vec<u32> {
+    let domain = u64::from(mask) + 3;
+    let code = |r: u64| values[(r % values.len() as u64) as usize];
+    match shape {
+        0 => raw.iter().map(|r| (r % domain) as u32).collect(),
+        1 => {
+            let base = raw.first().map_or(0, |r| (r % domain) as u32);
+            raw.iter().map(|r| base.saturating_add((r % 48) as u32)).collect()
+        }
+        2 => raw.iter().map(|r| mask.saturating_sub((r % 6) as u32)).collect(),
+        3 => raw.iter().map(|&r| code(r).wrapping_add((r >> 32) as u32 % 2) & mask).collect(),
+        _ => raw.iter().take(1).map(|&r| code(r)).collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -106,7 +150,9 @@ proptest! {
     /// The word-parallel (SWAR) scan kernels agree with the retained scalar
     /// reference oracle for every bitcase, including unaligned sub-ranges,
     /// predicate bounds outside the representable domain, values straddling
-    /// word boundaries, and inverted (empty) ranges.
+    /// word boundaries, and inverted (empty) ranges — and the list kernel
+    /// agrees with a plain `contains` filter for every list shape
+    /// [`kernel_list`] draws.
     #[test]
     fn swar_kernels_match_the_scalar_oracle(
         bits in 1u8..=32,
@@ -115,6 +161,8 @@ proptest! {
         row_span in 0usize..600,
         min_raw in any::<u64>(),
         max_raw in any::<u64>(),
+        list_shape in 0u8..5,
+        list_raw in proptest::collection::vec(any::<u64>(), 0..24),
     ) {
         let mask = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
         let values: Vec<u32> = values.into_iter().map(|v| v & mask).collect();
@@ -143,31 +191,31 @@ proptest! {
         // with no bits beyond each run's length.
         let mut runs: Vec<(usize, u32, u64)> = Vec::new();
         packed.scan_range_masks(start..end, min, max, |base, n, m| runs.push((base, n, m)));
-        let mut next = start;
-        let mut from_masks = Vec::new();
-        for (base, n, mut m) in runs {
-            prop_assert_eq!(base, next, "runs must tile contiguously");
-            prop_assert!((1..=64).contains(&n));
-            if n < 64 {
-                prop_assert_eq!(m >> n, 0, "bits beyond n must be zero");
-            }
-            next = base + n as usize;
-            while m != 0 {
-                from_masks.push(base + m.trailing_zeros() as usize);
-                m &= m - 1;
-            }
-        }
+        let (from_masks, next) = expand_tiled(&runs, start)?;
         // The kernel short-circuits (no runs at all) when nothing can match.
         if start < end && min <= max && min <= mask {
             prop_assert_eq!(next, end, "runs must cover the whole range");
         }
         prop_assert_eq!(from_masks, expected);
+
+        // Vid lists: the same contract, against a scalar `contains` filter.
+        let list = kernel_list(list_shape, &list_raw, &values, mask);
+        let predicate = EncodedPredicate::VidList(VidRuns::from_vids(list.iter().copied()));
+        let expected: Vec<usize> = (start..end).filter(|&p| list.contains(&values[p])).collect();
+        let mut runs: Vec<(usize, u32, u64)> = Vec::new();
+        packed.scan_masks(start..end, &predicate, |base, n, m| runs.push((base, n, m)));
+        let (from_masks, next) = expand_tiled(&runs, start)?;
+        if start < end && list.iter().any(|&v| v <= mask) {
+            prop_assert_eq!(next, end, "list runs must cover the whole range");
+        }
+        prop_assert_eq!(from_masks, expected, "bits {}, list {:?}", bits, list);
     }
 
     /// The run-length-encoded layout's kernels agree with the bit-packed
     /// scalar oracle for every bitcase, arbitrary (run-hostile) value
-    /// streams, unaligned sub-ranges, out-of-domain bounds and inverted
-    /// ranges — the RLE twin of `swar_kernels_match_the_scalar_oracle`.
+    /// streams, unaligned sub-ranges, out-of-domain bounds, inverted ranges
+    /// and every vid-list shape — the RLE twin of
+    /// `swar_kernels_match_the_scalar_oracle`.
     #[test]
     fn rle_kernels_match_the_scalar_oracle(
         bits in 1u8..=32,
@@ -177,6 +225,8 @@ proptest! {
         min_raw in any::<u64>(),
         max_raw in any::<u64>(),
         stretch in 1usize..6,
+        list_shape in 0u8..5,
+        list_raw in proptest::collection::vec(any::<u64>(), 0..24),
     ) {
         let mask = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
         // Stretch each drawn value into a short run so both the run-hostile
@@ -205,24 +255,23 @@ proptest! {
         // zero, and nothing at all when no row can match.
         let mut runs: Vec<(usize, u32, u64)> = Vec::new();
         rle.scan_range_masks(start..end, min, max, |base, n, m| runs.push((base, n, m)));
-        let mut next = start;
-        let mut from_masks = Vec::new();
-        for (base, n, mut m) in runs {
-            prop_assert_eq!(base, next, "runs must tile contiguously");
-            prop_assert!((1..=64).contains(&n));
-            if n < 64 {
-                prop_assert_eq!(m >> n, 0, "bits beyond n must be zero");
-            }
-            next = base + n as usize;
-            while m != 0 {
-                from_masks.push(base + m.trailing_zeros() as usize);
-                m &= m - 1;
-            }
-        }
+        let (from_masks, next) = expand_tiled(&runs, start)?;
         if start < end && min <= max && min <= mask {
             prop_assert_eq!(next, end, "runs must cover the whole range");
         }
         prop_assert_eq!(from_masks, expected);
+
+        // Vid lists: the same contract, against a scalar `contains` filter.
+        let list = kernel_list(list_shape, &list_raw, &values, mask);
+        let predicate = EncodedPredicate::VidList(VidRuns::from_vids(list.iter().copied()));
+        let expected: Vec<usize> = (start..end).filter(|&p| list.contains(&values[p])).collect();
+        let mut runs: Vec<(usize, u32, u64)> = Vec::new();
+        rle.scan_masks(start..end, &predicate, |base, n, m| runs.push((base, n, m)));
+        let (from_masks, next) = expand_tiled(&runs, start)?;
+        if start < end && list.iter().any(|&v| v <= mask) {
+            prop_assert_eq!(next, end, "list runs must cover the whole range");
+        }
+        prop_assert_eq!(from_masks, expected, "bits {}, list {:?}", bits, list);
 
         let decoded: Vec<u32> = rle.iter_range(start..end).collect();
         prop_assert_eq!(decoded, &values[start..end]);
@@ -248,7 +297,8 @@ proptest! {
         prop_assert_eq!(rle_col.layout(), IvLayoutKind::Rle);
         let end = (start + row_span).min(values.len());
         let start = start.min(end);
-        for pred in [Predicate::Between { lo, hi: lo + value_span }, Predicate::InList(in_list.clone())] {
+        let between = Predicate::Between { lo, hi: lo + value_span };
+        for pred in [between, Predicate::InList(in_list.clone())] {
             let encoded = pred.encode(col.dictionary());
             let expected: Vec<u32> = (start..end)
                 .filter(|&i| match &pred {
@@ -257,8 +307,10 @@ proptest! {
                 })
                 .map(|i| i as u32)
                 .collect();
-            prop_assert_eq!(&scan_positions(&col, start..end, &encoded), &expected, "{:?}", pred);
-            prop_assert_eq!(&scan_positions(&rle_col, start..end, &encoded), &expected, "{:?}", pred);
+            for column in [&col, &rle_col] {
+                let got = scan_positions(column, start..end, &encoded);
+                prop_assert_eq!(&got, &expected, "{:?} on {:?}", pred, column.layout());
+            }
             prop_assert_eq!(
                 scan_bitvector(&col, start..end, &encoded).to_positions(),
                 scan_bitvector(&rle_col, start..end, &encoded).to_positions(),
@@ -326,8 +378,8 @@ proptest! {
     }
 
     /// Position-list and bit-vector scans agree with a naive row filter for
-    /// both range and in-list predicates (the latter through the
-    /// dictionary-domain bitmap matcher).
+    /// both range and in-list predicates (the latter through the list side
+    /// of the mask kernel).
     #[test]
     fn scan_representations_agree_with_naive_filter(
         values in proptest::collection::vec(0i64..300, 1..400),
@@ -679,12 +731,13 @@ proptest! {
 
     /// The batched SWAR kernel serves every predicate of a mixed batch
     /// byte-identically to running `scan_positions` once per predicate, for
-    /// arbitrary value distributions, range/IN-list/inverted predicates and
+    /// arbitrary value distributions, range/IN-list/inverted predicates (IN
+    /// lists with fewer and with more runs than a window has lanes) and
     /// batch sizes.
     #[test]
     fn batched_scans_match_per_query_scans(
         values in proptest::collection::vec(0i64..2_000, 200..1500),
-        queries in proptest::collection::vec((0u8..3, 0i64..2_000, 0i64..400), 1..9),
+        queries in proptest::collection::vec((0u8..4, 0i64..2_000, 0i64..400), 1..9),
     ) {
         use numascan::storage::{scan_positions_batch, EncodedPredicate, TableBuilder};
         let table = TableBuilder::new("t").add_values("v", &values, false).build();
@@ -694,6 +747,10 @@ proptest! {
             .map(|&(kind, a, w)| match kind {
                 0 => Predicate::Between { lo: a, hi: a + w },
                 1 => Predicate::InList(vec![a, a + 3, a + w, -1]),
+                // More runs than a window has lanes, one pair adjacent.
+                2 => Predicate::InList(
+                    (0..12).map(|i| a + i * (w / 12 + 2)).chain([a + 1]).collect(),
+                ),
                 // Usually inverted (empty) unless w == 0.
                 _ => Predicate::Between { lo: a + w, hi: a },
             })
