@@ -635,6 +635,22 @@ impl BitPackedVec {
         predicate: &EncodedPredicate,
         sink: F,
     ) {
+        match predicate {
+            EncodedPredicate::Range(r) => self.scan_range_masks(positions, r.first, r.last, sink),
+            _ => self.scan_list_masks(positions, predicate, sink),
+        }
+    }
+
+    /// The list half of [`BitPackedVec::scan_masks`]. Kept out of line: its
+    /// window loops (one per bound shape and run test) would otherwise be
+    /// inlined, sink and all, into every range scan's caller.
+    #[inline(never)]
+    fn scan_list_masks<F: FnMut(usize, u32, u64)>(
+        &self,
+        positions: Range<usize>,
+        predicate: &EncodedPredicate,
+        sink: F,
+    ) {
         if let Some(lanes) = PredicateLanes::compile(self.bits, predicate) {
             self.scan_bounded(positions, lanes.bound, &lanes.runs, sink);
         }

@@ -174,36 +174,21 @@ impl RleVec {
         &self,
         positions: Range<usize>,
         predicate: &EncodedPredicate,
-        mut sink: F,
+        sink: F,
     ) {
-        let Some(b) = predicate.lane_bounds(self.bits) else {
-            return;
-        };
-        let Some((start, end, _)) = clamp_scan(self.len, self.bits, positions, b.first, b.last)
-        else {
-            return;
-        };
-        let mut run = self.run_index(start);
-        let mut base = start;
-        while base < end {
-            let window_end = (base + 64).min(end);
-            let n = (window_end - base) as u32;
-            let mut mask = 0u64;
-            let mut r = run;
-            loop {
-                let lo = (self.starts[r] as usize).max(base);
-                let hi = self.run_end(r).min(window_end);
-                if hi > lo && predicate.matches(self.vids[r]) {
-                    mask |= low_mask((hi - lo) as u32) << (lo - base);
+        match predicate {
+            EncodedPredicate::Range(r) => self.scan_range_masks(positions, r.first, r.last, sink),
+            EncodedPredicate::VidList(list) => {
+                let Some(b) = predicate.lane_bounds(self.bits) else {
+                    return;
+                };
+                if let Some((start, end, _)) =
+                    clamp_scan(self.len, self.bits, positions, b.first, b.last)
+                {
+                    self.scan_runs(start, end, |vid| list.contains(vid), sink);
                 }
-                if self.run_end(r) >= window_end {
-                    break;
-                }
-                r += 1;
             }
-            sink(base, n, mask);
-            run = r;
-            base = window_end;
+            EncodedPredicate::Empty => {}
         }
     }
 
@@ -215,8 +200,43 @@ impl RleVec {
         max: u32,
         sink: F,
     ) {
-        let range = EncodedPredicate::Range(VidRange { first: min, last: max });
-        self.scan_masks(positions, &range, sink);
+        if let Some((start, end, max)) = clamp_scan(self.len, self.bits, positions, min, max) {
+            self.scan_runs(start, end, |vid| vid >= min && vid <= max, sink);
+        }
+    }
+
+    /// The window loop of the run-level kernels over the clamped rows
+    /// `start..end`: `hit` is the per-run membership test.
+    #[inline(always)]
+    fn scan_runs<F: FnMut(usize, u32, u64)>(
+        &self,
+        start: usize,
+        end: usize,
+        hit: impl Fn(u32) -> bool,
+        mut sink: F,
+    ) {
+        let mut run = self.run_index(start);
+        let mut base = start;
+        while base < end {
+            let window_end = (base + 64).min(end);
+            let n = (window_end - base) as u32;
+            let mut mask = 0u64;
+            let mut r = run;
+            loop {
+                let lo = (self.starts[r] as usize).max(base);
+                let hi = self.run_end(r).min(window_end);
+                if hi > lo && hit(self.vids[r]) {
+                    mask |= low_mask((hi - lo) as u32) << (lo - base);
+                }
+                if self.run_end(r) >= window_end {
+                    break;
+                }
+                r += 1;
+            }
+            sink(base, n, mask);
+            run = r;
+            base = window_end;
+        }
     }
 
     /// The batched run-level kernel, contract-compatible with
