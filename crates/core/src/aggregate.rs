@@ -448,8 +448,10 @@ impl<'a> RowReader<'a> {
         RowReader { value, group, offset }
     }
 
-    /// Folds the row at filter-local position `pos` into `acc`.
-    #[inline]
+    /// Folds the row at filter-local position `pos` into `acc`. Inlined into
+    /// every window loop of the mask kernels: it runs once per qualifying
+    /// row, and the kernels instantiate one loop per predicate shape.
+    #[inline(always)]
     fn feed(&self, pos: usize, acc: &mut GroupAccumulator) {
         let row = pos + self.offset;
         let value = *self.value.value_at(row);
@@ -469,12 +471,18 @@ pub fn accumulate_filtered(
     reader: &RowReader<'_>,
     acc: &mut GroupAccumulator,
 ) {
-    filter.index_vector().scan_masks(positions, predicate, |base, _, mut mask| {
-        while mask != 0 {
-            reader.feed(base + mask.trailing_zeros() as usize, acc);
-            mask &= mask - 1;
-        }
-    });
+    filter.index_vector().scan_masks(
+        positions,
+        predicate,
+        // Inlined into every window loop of the kernels: it runs per window.
+        #[inline(always)]
+        |base, _, mut mask| {
+            while mask != 0 {
+                reader.feed(base + mask.trailing_zeros() as usize, acc);
+                mask &= mask - 1;
+            }
+        },
+    );
 }
 
 /// The shared-path accumulate: folds a sweep chunk's (filter-local,

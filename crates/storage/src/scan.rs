@@ -85,12 +85,19 @@ pub fn scan_positions_with_estimate<T: DictValue>(
     };
     let estimate = (rows as f64 * selectivity).ceil() as usize;
     let mut out = Vec::with_capacity(estimate.min(rows));
-    iv.scan_masks(start..end, predicate, |base, _, mask| push_positions(&mut out, base, mask));
+    iv.scan_masks(
+        start..end,
+        predicate,
+        #[inline(always)]
+        |base, _, mask| push_positions(&mut out, base, mask),
+    );
     out
 }
 
 /// Appends the rows a match mask selects, `base` being the mask's first row.
-#[inline]
+/// Inlined, with the closures around it, into every window loop of the
+/// kernels: it runs once per window.
+#[inline(always)]
 fn push_positions(out: &mut Vec<u32>, base: usize, mut mask: u64) {
     while mask != 0 {
         out.push((base + mask.trailing_zeros() as usize) as u32);
@@ -143,11 +150,16 @@ pub fn scan_positions_batch<T: DictValue>(
             Vec::with_capacity(estimate.min(rows))
         })
         .collect();
-    iv.scan_masks_batch(start..end, predicates, |base, _, masks| {
-        for (list, &mask) in out.iter_mut().zip(masks) {
-            push_positions(list, base, mask);
-        }
-    });
+    iv.scan_masks_batch(
+        start..end,
+        predicates,
+        #[inline(always)]
+        |base, _, masks| {
+            for (list, &mask) in out.iter_mut().zip(masks) {
+                push_positions(list, base, mask);
+            }
+        },
+    );
     out
 }
 
@@ -167,7 +179,12 @@ pub fn scan_bitvector<T: DictValue>(
     let end = positions.end.min(iv.len());
     let start = positions.start.min(end);
     let mut bits = BitVector::new(end - start);
-    iv.scan_masks(start..end, predicate, |base, n, mask| bits.or_bits(base - start, mask, n));
+    iv.scan_masks(
+        start..end,
+        predicate,
+        #[inline(always)]
+        |base, n, mask| bits.or_bits(base - start, mask, n),
+    );
     MatchList::Bits { offset: start, bits }
 }
 
