@@ -10,10 +10,11 @@
 //!
 //! Fusion is the point. The accumulators consume the SWAR kernels'
 //! *mask-stream* contract ([`accumulate_filtered`] drives
-//! `IndexVector::scan_masks` directly): a qualifying row goes straight
-//! from the predicate kernel's match mask into the aggregate table — no
-//! position list is materialized, no value vector is built, and the
-//! per-match cost is one gather plus one accumulate. The shared scan path
+//! `IndexVector::scan_masks` directly): a qualifying row goes from the
+//! predicate kernel's match mask, through a 256-entry stack batch, into the
+//! aggregate table — no position list is materialized, no value vector is
+//! built, and the per-match cost is one gather plus one accumulate. The
+//! shared scan path
 //! reuses the same machinery over the sweep's chunk match lists
 //! ([`accumulate_positions`]), so one cooperative sweep serves scan and
 //! aggregate waiters from the same mask stream.
@@ -448,10 +449,8 @@ impl<'a> RowReader<'a> {
         RowReader { value, group, offset }
     }
 
-    /// Folds the row at filter-local position `pos` into `acc`. Inlined into
-    /// every window loop of the mask kernels: it runs once per qualifying
-    /// row, and the kernels instantiate one loop per predicate shape.
-    #[inline(always)]
+    /// Folds the row at filter-local position `pos` into `acc`.
+    #[inline]
     fn feed(&self, pos: usize, acc: &mut GroupAccumulator) {
         let row = pos + self.offset;
         let value = *self.value.value_at(row);
@@ -461,9 +460,12 @@ impl<'a> RowReader<'a> {
 }
 
 /// The fused scan→aggregate kernel: evaluates `predicate` over `positions`
-/// of the filter column and folds every qualifying row straight into `acc` —
-/// no materialized position list. Every predicate shape, range or `IN` list,
+/// of the filter column and folds every qualifying row into `acc` — no
+/// position list is materialized. Every predicate shape, range or `IN` list,
 /// rides the layout's mask stream (`IndexVector::scan_masks`, both layouts).
+/// Matches gather in a small stack batch that is folded whenever it fills,
+/// so the kernel's window loop stays tight on a selective scan and a dense
+/// one pays the fold's call once per batch, not per window or row.
 pub fn accumulate_filtered(
     filter: &DictColumn<i64>,
     positions: Range<usize>,
@@ -471,24 +473,35 @@ pub fn accumulate_filtered(
     reader: &RowReader<'_>,
     acc: &mut GroupAccumulator,
 ) {
+    const BATCH: usize = 256;
+    let mut batch = [0u32; BATCH];
+    let mut n = 0;
     filter.index_vector().scan_masks(
         positions,
         predicate,
-        // Inlined into every window loop of the kernels: it runs per window.
         #[inline(always)]
         |base, _, mut mask| {
             while mask != 0 {
-                reader.feed(base + mask.trailing_zeros() as usize, acc);
+                batch[n] = (base + mask.trailing_zeros() as usize) as u32;
+                n += 1;
                 mask &= mask - 1;
+            }
+            // A window adds at most 64 matches.
+            if n > BATCH - 64 {
+                accumulate_positions(&batch[..n], reader, acc);
+                n = 0;
             }
         },
     );
+    accumulate_positions(&batch[..n], reader, acc);
 }
 
 /// The shared-path accumulate: folds a sweep chunk's (filter-local,
 /// ascending) match positions into `acc` through the same reader. One
 /// cooperative sweep's mask stream thereby serves scan waiters (which
-/// materialize) and aggregate waiters (which fold) alike.
+/// materialize) and aggregate waiters (which fold) alike. Kept out of line:
+/// the fused kernel calls it from every window loop.
+#[inline(never)]
 pub fn accumulate_positions(positions: &[u32], reader: &RowReader<'_>, acc: &mut GroupAccumulator) {
     for &pos in positions {
         reader.feed(pos as usize, acc);

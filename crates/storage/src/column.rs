@@ -85,6 +85,7 @@ impl IndexVector {
     ///
     /// # Panics
     /// Panics if `pos` is out of bounds.
+    #[inline]
     pub fn get(&self, pos: usize) -> u32 {
         match self {
             IndexVector::BitPacked(v) => v.get(pos),
