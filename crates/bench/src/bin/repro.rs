@@ -3,36 +3,31 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--paper] [--out FILE] [--json-dir DIR] [EXPERIMENT ...]
+//! repro [--paper] [--out FILE] [EXPERIMENT ...]
 //! ```
 //!
 //! * With no experiment ids, every experiment runs (`all`).
 //! * `--paper` switches from the quick, laptop-friendly scale to the paper's
 //!   own dataset and client counts (much slower).
 //! * `--out FILE` additionally writes the markdown report to `FILE`.
-//! * `--json-dir DIR` additionally writes each result table as a
-//!   machine-readable `BENCH_<id>.json` snapshot into `DIR` (see
-//!   `numascan_bench::snapshot` for the schema).
+//! * `--help` lists every experiment id.
 //!
 //! Examples:
 //!
 //! ```text
 //! cargo run --release -p numascan-bench --bin repro -- fig8 fig12
 //! cargo run --release -p numascan-bench --bin repro -- --out results.md all
-//! cargo run --release -p numascan-bench --bin repro -- --json-dir bench-out kernels scan_sharing
 //! ```
 
 use std::io::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use numascan_bench::experiments::select_experiments;
-use numascan_bench::{write_snapshot, ExperimentScale};
+use numascan_bench::experiments::{all_experiments, select_experiments};
+use numascan_bench::ExperimentScale;
 
 fn main() {
     let mut paper_scale = false;
     let mut out_path: Option<String> = None;
-    let mut json_dir: Option<PathBuf> = None;
     let mut ids: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -40,10 +35,12 @@ fn main() {
         match arg.as_str() {
             "--paper" => paper_scale = true,
             "--out" => out_path = args.next(),
-            "--json-dir" => json_dir = args.next().map(PathBuf::from),
             "--help" | "-h" => {
-                eprintln!("usage: repro [--paper] [--out FILE] [--json-dir DIR] [EXPERIMENT ...]");
-                eprintln!("experiments: table1 table2 fig1 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 partcost adaptivity kernels scan_sharing all");
+                eprintln!("usage: repro [--paper] [--out FILE] [EXPERIMENT ...]");
+                eprintln!("experiments (default: all):");
+                for experiment in all_experiments() {
+                    eprintln!("  {:<15} {}", experiment.id, experiment.description);
+                }
                 return;
             }
             other => ids.push(other.to_string()),
@@ -74,12 +71,6 @@ fn main() {
             println!("{md}");
             report.push_str(&md);
             report.push('\n');
-            if let Some(dir) = &json_dir {
-                match write_snapshot(dir, &table) {
-                    Ok(path) => eprintln!("  snapshot {}", path.display()),
-                    Err(e) => eprintln!("  failed to write snapshot for {}: {e}", table.id),
-                }
-            }
         }
     }
 

@@ -1,14 +1,12 @@
-//! Hybrid per-partition storage: zone-map pruning, the RLE layout, and the
-//! heat-driven layout advisor (Section 5.3's single-server ByteStore angle).
+//! Hybrid per-partition storage: the heat-driven layout advisor (Section
+//! 5.3's single-server ByteStore angle).
 //!
-//! Three real-machine tables: (1) how much of a narrow range scan over a
-//! sorted column the per-partition zone maps cut away, (2) the memory and
-//! scan-bandwidth trade of the run-length layout against the bit-packed SWAR
-//! kernel as runs grow, and (3) a seeded workload-shift replay on the native
-//! engine whose closed loop must first consolidate the cold column and then
-//! compress it — the live form of [`numascan_core::PlacerAction::Relayout`].
-
-use std::time::Instant;
+//! A seeded workload-shift replay on the native engine whose closed loop must
+//! first consolidate the cold column and then compress it — the live form of
+//! [`numascan_core::PlacerAction::Relayout`]. The table reports placer
+//! actions and layouts, not timings: zone-map pruning and run-length scan
+//! speed are `perfbench` rungs (`storage.prune_share`,
+//! `storage.rows_examined_per_result`, `storage.rle_scan_mrows_per_s`).
 
 use numascan_core::{
     AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, NativePlacement, PlacerAction,
@@ -16,112 +14,11 @@ use numascan_core::{
 };
 use numascan_numasim::Topology;
 use numascan_scheduler::SchedulingStrategy;
-use numascan_storage::{
-    ivp_ranges, scan_positions, BitPackedVec, ColumnId, DictColumn, IvLayoutKind, Predicate,
-    RleVec, TableBuilder,
-};
+use numascan_storage::{ColumnId, IvLayoutKind, TableBuilder};
 use numascan_workload::{replay_shift, ShiftConfig, ShiftPhase};
 
 use crate::harness::{fmt, ResultTable};
 use crate::scale::ExperimentScale;
-
-/// Partition counts swept by the zone-map pruning rows.
-const PART_SWEEP: [usize; 3] = [4, 8, 16];
-
-/// Run lengths swept by the RLE rows: run-hostile, moderate, and the long
-/// runs of a sorted low-cardinality column.
-const RUN_SWEEP: [usize; 3] = [1, 16, 256];
-
-fn scan_rows(scale: &ExperimentScale) -> usize {
-    (scale.rows / 4).clamp(250_000, 8_000_000) as usize
-}
-
-/// Best-of-N wall time of `work`, in seconds.
-fn best_of<F: FnMut() -> u64>(repeats: usize, mut work: F) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut checksum = 0;
-    for _ in 0..repeats.max(1) {
-        let started = Instant::now();
-        checksum = work();
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    (best, checksum)
-}
-
-fn zone_pruning_table(scale: &ExperimentScale) -> ResultTable {
-    let rows = scan_rows(scale);
-    // A sorted low-cardinality column: the hot shape zone maps exist for —
-    // every partition owns a narrow, disjoint slice of the value domain.
-    let values: Vec<i64> = (0..rows as i64).map(|i| i / 64).collect();
-    let column = DictColumn::from_values("sorted", &values, false);
-    let predicate = Predicate::Between { lo: 1_000, hi: 1_100 };
-    let encoded = predicate.encode(column.dictionary());
-
-    let mut table = ResultTable::new(
-        "hybrid-prune",
-        "Zone-map partition pruning of a narrow range scan over a sorted column: every \
-         partition scanned vs partitions whose vid bounds cannot match skipped",
-        &["Parts", "Pruned parts", "All-parts ms", "Zone-pruned ms", "Speedup"],
-    );
-    for parts in PART_SWEEP {
-        let ranges = ivp_ranges(rows, parts);
-        let pruned_parts = ranges.iter().filter(|r| column.prunes((*r).clone(), &encoded)).count();
-        let (all, all_hits) = best_of(3, || {
-            ranges.iter().map(|r| scan_positions(&column, r.clone(), &encoded).len() as u64).sum()
-        });
-        let (pruned, pruned_hits) = best_of(3, || {
-            ranges
-                .iter()
-                .filter(|r| !column.prunes((*r).clone(), &encoded))
-                .map(|r| scan_positions(&column, r.clone(), &encoded).len() as u64)
-                .sum()
-        });
-        assert_eq!(all_hits, pruned_hits, "pruning must not change the result at {parts} parts");
-        table.push_row([
-            parts.to_string(),
-            pruned_parts.to_string(),
-            fmt(all * 1e3),
-            fmt(pruned * 1e3),
-            fmt(all / pruned),
-        ]);
-    }
-    table
-}
-
-fn rle_layout_table(scale: &ExperimentScale) -> ResultTable {
-    let rows = scan_rows(scale);
-    let bits = 12u8;
-    let domain = 1u32 << bits;
-
-    let mut table = ResultTable::new(
-        "hybrid-rle",
-        "Run-length vs bit-packed layout on a 12-bit column as run length grows: memory \
-         footprint and count_range bandwidth relative to the packed bytes",
-        &["Run length", "Packed MiB", "RLE MiB", "SWAR GB/s", "RLE GB/s", "RLE/SWAR"],
-    );
-    for run in RUN_SWEEP {
-        let values: Vec<u32> =
-            (0..rows).map(|i| ((i / run) as u32).wrapping_mul(7919) % domain).collect();
-        let packed = BitPackedVec::from_slice(bits, &values);
-        let rle = RleVec::from_codes(bits, values.iter().copied());
-        let packed_gb = packed.memory_bytes() as f64 / 1e9;
-        let (min, max) = (domain / 10, domain / 10 + domain / 20);
-
-        let (swar, swar_count) = best_of(3, || packed.count_range(0..rows, min, max) as u64);
-        let (rle_time, rle_count) = best_of(3, || rle.count_range(0..rows, min, max) as u64);
-        assert_eq!(swar_count, rle_count, "layouts must agree at run length {run}");
-
-        table.push_row([
-            run.to_string(),
-            fmt(packed.memory_bytes() as f64 / (1 << 20) as f64),
-            fmt(rle.memory_bytes() as f64 / (1 << 20) as f64),
-            fmt(packed_gb / swar),
-            fmt(packed_gb / rle_time),
-            fmt(swar / rle_time),
-        ]);
-    }
-    table
-}
 
 /// The advisor replay's table: a hot random column keeps all sockets busy
 /// (balanced utilization) while a cold sorted low-cardinality column sits
@@ -189,9 +86,9 @@ fn advisor_table(scale: &ExperimentScale) -> ResultTable {
     table
 }
 
-/// Runs the hybrid-layout micro-benchmarks and the advisor replay.
+/// Runs the advisor replay.
 pub fn run(scale: &ExperimentScale) -> Vec<ResultTable> {
-    vec![zone_pruning_table(scale), rle_layout_table(scale), advisor_table(scale)]
+    vec![advisor_table(scale)]
 }
 
 #[cfg(test)]
@@ -199,27 +96,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hybrid_experiment_prunes_compresses_and_relayouts() {
+    fn hybrid_experiment_relayouts_the_cold_column() {
         let mut scale = ExperimentScale::quick();
         scale.rows = 1_000_000;
         let tables = run(&scale);
 
-        let prune = &tables[0];
-        assert_eq!(prune.rows.len(), PART_SWEEP.len());
-        for (row, parts) in prune.rows.iter().zip(PART_SWEEP) {
-            let pruned: usize = row[1].parse().unwrap();
-            // The 100-value-wide predicate lands inside one partition's vid
-            // bounds; zone granularity may keep one neighbour alive.
-            assert!(pruned >= parts - 2, "{prune:?}");
-        }
-
-        let rle = &tables[1];
-        assert_eq!(rle.rows.len(), RUN_SWEEP.len());
-        let packed_mib = rle.cell_f64("256", "Packed MiB").unwrap();
-        let rle_mib = rle.cell_f64("256", "RLE MiB").unwrap();
-        assert!(rle_mib < packed_mib / 4.0, "long runs must compress well: {rle:?}");
-
-        let advisor = &tables[2];
+        let advisor = &tables[0];
         assert_eq!(advisor.rows.len(), 5, "one row per epoch");
         assert!(
             advisor.rows.iter().any(|r| r[2].contains("Relayout")),

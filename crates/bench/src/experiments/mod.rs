@@ -20,12 +20,9 @@ pub mod fig17;
 pub mod fig18;
 pub mod fig19;
 pub mod hybrid_layouts;
-pub mod kernels;
 pub mod partcost;
-pub mod scan_sharing;
 pub mod table01;
 pub mod table02;
-pub mod tpch_olap;
 
 use crate::harness::ResultTable;
 use crate::scale::ExperimentScale;
@@ -130,34 +127,16 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: adaptivity::run,
         },
         Experiment {
-            id: "kernels",
-            description: "Real-machine micro-benchmarks: SWAR scan GB/s per bitcase (single vs \
-                          batched kernel) and hard-affinity submit latency",
-            run: kernels::run,
-        },
-        Experiment {
             id: "hybrid_layouts",
-            description: "Hybrid per-partition storage: zone-map pruning, RLE vs SWAR bandwidth, \
-                          and the layout advisor's relayout loop under a workload shift",
+            description: "Hybrid per-partition storage: the layout advisor's relayout loop under \
+                          a workload shift",
             run: hybrid_layouts::run,
-        },
-        Experiment {
-            id: "scan_sharing",
-            description: "Cooperative shared scans: aggregate throughput and sweep amortization \
-                          of one hot column, private sweeps vs the shared executor",
-            run: scan_sharing::run,
         },
         Experiment {
             id: "cluster_faults",
             description: "Fault-tolerant sharded scan tier: typed outcome counts and retry / \
                           failover / hedge machinery per fault kind x replication factor",
             run: cluster_faults::run,
-        },
-        Experiment {
-            id: "tpch_olap",
-            description: "TPC-H-derived Q1/Q6 fused aggregation pipelines: mask-stream fused vs \
-                          positions-then-aggregate, value-identical, plus end-to-end latency",
-            run: tpch_olap::run,
         },
     ]
 }
@@ -178,32 +157,31 @@ mod tests {
     #[test]
     fn registry_contains_every_figure_and_table() {
         let ids: Vec<&str> = all_experiments().iter().map(|e| e.id).collect();
-        for expected in [
-            "table1",
-            "table2",
-            "fig1",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "fig18",
-            "fig19",
-            "partcost",
-            "adaptivity",
-            "kernels",
-            "scan_sharing",
-            "hybrid_layouts",
-            "cluster_faults",
-            "tpch_olap",
-        ] {
-            assert!(ids.contains(&expected), "missing experiment {expected}");
-        }
+        assert_eq!(
+            ids,
+            [
+                "table1",
+                "table2",
+                "fig1",
+                "fig8",
+                "fig9",
+                "fig10",
+                "fig11",
+                "fig12",
+                "fig13",
+                "fig14",
+                "fig15",
+                "fig16",
+                "fig17",
+                "fig18",
+                "fig19",
+                "partcost",
+                "adaptivity",
+                "hybrid_layouts",
+                "cluster_faults",
+            ],
+            "wall-clock timings are perfbench rungs, not repro experiments"
+        );
     }
 
     #[test]

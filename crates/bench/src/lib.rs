@@ -1,8 +1,10 @@
 //! # numascan-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (Section 6), plus Criterion micro-benchmarks for the
-//! underlying kernels.
+//! paper's evaluation (Section 6), plus the native adaptivity, layout-advisor
+//! and fault-matrix experiments, whose results are counters, placer actions
+//! and virtual time. Timing the real machine is the separate `perfbench/`
+//! package's job, not this crate's.
 //!
 //! Each experiment lives in [`experiments`] and produces one or more
 //! [`harness::ResultTable`]s — the same rows/series the paper reports. The
@@ -17,14 +19,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod diff;
 pub mod experiments;
 pub mod harness;
 pub mod runner;
 pub mod scale;
-pub mod snapshot;
 
 pub use harness::ResultTable;
 pub use runner::{run_scan, ScanRunConfig};
 pub use scale::ExperimentScale;
-pub use snapshot::{snapshot_json, write_snapshot, SNAPSHOT_SCHEMA};

@@ -5,27 +5,27 @@
 //! SWAR mask kernel must deliver at least 2x the throughput of the retained
 //! scalar reference on a 4M-row range scan. The margin is deliberately
 //! generous (the kernel typically wins by far more) so scheduler noise on a
-//! busy CI machine cannot flake the test; each side additionally takes the
-//! best of several runs.
+//! busy CI machine cannot flake the test.
 //!
-//! A second kind of gate compares two shapes of the same scan in one
-//! process: an `IN` list must cost about what a range of like selectivity
-//! costs on the same column. Both are timed back to back in interleaved
-//! rounds and their medians compared, so host drift cancels out of the ratio.
+//! Every gate compares two shapes of the same work in one process — SWAR
+//! against scalar, the code-level PP rebuild against the per-row one, an `IN`
+//! list against a range of like selectivity — timed by
+//! [`common::paired_medians`], so host drift cancels out of the ratio.
 //!
 //! The timing assertion is only meaningful with optimizations on, so the test
 //! is ignored in debug builds and run by CI via
 //! `cargo test --release --test perf_smoke`.
 
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+mod common;
 
+use std::sync::{Mutex, MutexGuard};
+
+use common::paired_medians;
 use numascan::storage::{
     scan_positions, BitPackedVec, DictColumn, PhysicalPartitioning, Predicate,
 };
 
 const ROWS: usize = 4_000_000;
-const RUNS: usize = 5;
 
 /// Held by every test while it times: the harness runs tests on parallel
 /// threads, and a timing taken while another test loads the cores measures
@@ -43,24 +43,12 @@ fn packed_column(bits: u8) -> BitPackedVec {
     BitPackedVec::from_slice(bits, &values)
 }
 
-/// Best-of-N wall time and the (identical) result of the last run.
-fn best_of<F: FnMut() -> usize>(mut f: F) -> (Duration, usize) {
-    let mut best = Duration::MAX;
-    let mut result = 0;
-    for _ in 0..RUNS {
-        let started = Instant::now();
-        result = f();
-        best = best.min(started.elapsed());
-    }
-    (best, result)
-}
-
 fn assert_speedup(bits: u8, selectivity: f64, factor: f64) {
     let packed = packed_column(bits);
     let lane_max = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
     let min = lane_max / 10;
     let max = min + ((f64::from(lane_max) * selectivity) as u32).max(1);
-    let (scalar, scalar_count) = best_of(|| {
+    let scalar_count = || {
         let mut count = 0;
         packed.scan_range_scalar(0..ROWS, min, max, |p| {
             // The seed's real callbacks (position pushes) have side effects
@@ -71,13 +59,16 @@ fn assert_speedup(bits: u8, selectivity: f64, factor: f64) {
             count += 1;
         });
         count
-    });
-    let (swar, swar_count) = best_of(|| packed.count_range(0..ROWS, min, max));
-    assert_eq!(swar_count, scalar_count, "kernels disagree at bitcase {bits}");
+    };
+    let swar_count = || packed.count_range(0..ROWS, min, max);
+    assert_eq!(swar_count(), scalar_count(), "kernels disagree at bitcase {bits}");
+    let (swar, scalar) = paired_medians(swar_count, scalar_count);
+    let ratio = scalar.as_secs_f64() / swar.as_secs_f64();
+    println!("bitcase {bits}: SWAR {swar:?} vs scalar {scalar:?} (median), {ratio:.2}x");
     assert!(
-        swar.as_secs_f64() * factor <= scalar.as_secs_f64(),
-        "bitcase {bits}: SWAR kernel ({swar:?}) must be at least {factor}x faster than the \
-         scalar reference ({scalar:?}) over {ROWS} rows"
+        ratio >= factor,
+        "bitcase {bits}: SWAR kernel ({swar:?}, median) must be at least {factor}x faster than \
+         the scalar reference ({scalar:?}, median) over {ROWS} rows"
     );
 }
 
@@ -117,11 +108,8 @@ fn physical_repartitioning_beats_the_per_row_value_rebuild() {
     let values: Vec<i64> = (0..rows as i64).map(|i| (i * 7919) % 4096).collect();
     let column = DictColumn::from_values("big", &values, false);
 
-    let (fast, fast_rows) = best_of(|| {
-        let pp = PhysicalPartitioning::create(&column, 4);
-        std::hint::black_box(pp.row_count())
-    });
-    let (naive, naive_rows) = best_of(|| {
+    let fast = || PhysicalPartitioning::create(&column, 4).row_count();
+    let naive = || {
         let parts: Vec<DictColumn<i64>> = numascan::storage::ivp_ranges(rows, 4)
             .into_iter()
             .map(|range| {
@@ -129,41 +117,17 @@ fn physical_repartitioning_beats_the_per_row_value_rebuild() {
                 DictColumn::from_values(format!("big#{}-{}", range.start, range.end), &vals, false)
             })
             .collect();
-        std::hint::black_box(parts.iter().map(|p| p.row_count()).sum())
-    });
-    assert_eq!(fast_rows, naive_rows);
-    assert!(
-        fast.as_secs_f64() * 1.3 <= naive.as_secs_f64(),
-        "code-level PP rebuild ({fast:?}) must be at least 1.3x faster than the per-row \
-         value rebuild ({naive:?}) over {rows} rows"
-    );
-}
-
-/// Median wall time of each of two closures, timed back to back in `rounds`
-/// interleaved rounds (alternating which goes first).
-fn paired_medians(
-    rounds: usize,
-    mut a: impl FnMut() -> usize,
-    mut b: impl FnMut() -> usize,
-) -> (Duration, Duration) {
-    let time = |f: &mut dyn FnMut() -> usize| {
-        let started = Instant::now();
-        std::hint::black_box(f());
-        started.elapsed()
+        parts.iter().map(|p| p.row_count()).sum::<usize>()
     };
-    let (mut ta, mut tb) = (Vec::new(), Vec::new());
-    for round in 0..rounds {
-        if round % 2 == 0 {
-            ta.push(time(&mut a));
-            tb.push(time(&mut b));
-        } else {
-            tb.push(time(&mut b));
-            ta.push(time(&mut a));
-        }
-    }
-    ta.sort_unstable();
-    tb.sort_unstable();
-    (ta[rounds / 2], tb[rounds / 2])
+    assert_eq!(fast(), naive());
+    let (fast, naive) = paired_medians(fast, naive);
+    let ratio = naive.as_secs_f64() / fast.as_secs_f64();
+    println!("PP rebuild: code-level {fast:?} vs per-row {naive:?} (median), {ratio:.2}x");
+    assert!(
+        ratio >= 1.3,
+        "code-level PP rebuild ({fast:?}, median) must be at least 1.3x faster than the \
+         per-row value rebuild ({naive:?}, median) over {rows} rows"
+    );
 }
 
 #[test]
@@ -191,7 +155,6 @@ fn in_lists_cost_about_what_a_range_costs() {
     let in_list = in_list.encode(column.dictionary());
     let between = between.encode(column.dictionary());
     let (list, range) = paired_medians(
-        11,
         || {
             let got = scan_positions(&column, 0..ROWS, &in_list).len();
             assert_eq!(got, list_expected);

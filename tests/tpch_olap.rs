@@ -24,16 +24,18 @@
 //! Timing assertions are ignored in debug builds; CI runs this via
 //! `cargo test --release --test tpch_olap`.
 
-use std::time::{Duration, Instant};
+mod common;
 
-use numascan::bench::experiments::tpch_olap::{fused_aggregate, positions_aggregate};
-use numascan::core::{oracle_aggregate, AggState};
-use numascan::storage::scan_positions;
+use common::paired_medians;
+use numascan::core::aggregate::{
+    accumulate_filtered, dense_group_capacity, GroupAccumulator, RowReader,
+};
+use numascan::core::{oracle_aggregate, AggState, AggTable, ScanRequest};
+use numascan::storage::{materialize_positions, scan_positions, DictColumn, Table};
 use numascan::workload::{lineitem_table, q1_request, q6_request};
 
 const ROWS: usize = 4_000_000;
 const DATA_SEED: u64 = 0x7C41;
-const RUNS: usize = 5;
 
 /// Bytes of intermediate state the positions-then-aggregate plan
 /// materializes per qualifying row: the `u32` position list entry plus the
@@ -49,16 +51,53 @@ fn fused_state_bytes(group_capacity: usize) -> usize {
     group_capacity * 4 * std::mem::size_of::<AggState>()
 }
 
-fn best_of<R>(mut body: impl FnMut() -> R) -> (Duration, R) {
-    let mut best = Duration::MAX;
-    let mut result = None;
-    for _ in 0..RUNS {
-        let started = Instant::now();
-        let r = body();
-        best = best.min(started.elapsed());
-        result = Some(r);
+fn columns<'a>(
+    table: &'a Table,
+    request: &ScanRequest,
+) -> (&'a DictColumn<i64>, &'a DictColumn<i64>, Option<&'a DictColumn<i64>>) {
+    let spec = request.agg.as_ref().expect("an aggregation statement");
+    let filter = table.column_by_name(request.column()).expect("filter column").1;
+    let value = table.column_by_name(&spec.value_column).expect("value column").1;
+    let group = spec.group_by.as_deref().map(|n| table.column_by_name(n).expect("group column").1);
+    (filter, value, group)
+}
+
+/// The fused single-threaded pipeline: mask stream straight into the dense
+/// partial table.
+fn fused_aggregate(table: &Table, request: &ScanRequest) -> AggTable {
+    let spec = request.agg.as_ref().expect("an aggregation statement");
+    let (filter, value, group) = columns(table, request);
+    let encoded = request.predicate().encode(filter.dictionary());
+    let capacity = group.map_or(1, |g| dense_group_capacity(g.dictionary().len()));
+    let mut acc = GroupAccumulator::new(capacity);
+    let reader = RowReader::new(value, group, 0);
+    accumulate_filtered(filter, 0..filter.row_count(), &encoded, &reader, &mut acc);
+    acc.into_table(spec, group)
+}
+
+/// The positions-then-aggregate baseline: materialise the match list, gather
+/// the value (and group) vectors from it, fold them in a scalar loop.
+fn positions_aggregate(table: &Table, request: &ScanRequest) -> AggTable {
+    let spec = request.agg.as_ref().expect("an aggregation statement");
+    let (filter, value, group) = columns(table, request);
+    let encoded = request.predicate().encode(filter.dictionary());
+    let positions = scan_positions(filter, 0..filter.row_count(), &encoded);
+    let values = materialize_positions(value, &positions);
+    let capacity = group.map_or(1, |g| dense_group_capacity(g.dictionary().len()));
+    let mut acc = GroupAccumulator::new(capacity);
+    match group {
+        None => {
+            for v in values {
+                acc.update(0, v);
+            }
+        }
+        Some(g) => {
+            for (p, v) in positions.iter().zip(values) {
+                acc.update(g.vid_at(*p as usize) as usize, v);
+            }
+        }
     }
-    (best, result.expect("RUNS > 0"))
+    acc.into_table(spec, group)
 }
 
 #[test]
@@ -71,13 +110,13 @@ fn fused_aggregation_beats_positions_then_aggregate_on_q6_at_4m_rows() {
         [("Q1", q1_request(), 3usize), ("Q6", q6_request(), 1usize)]
     {
         let spec = request.agg.as_ref().expect("an aggregation statement");
-        let (fused_time, fused) = best_of(|| fused_aggregate(&table, &request));
-        let (positions_time, baseline) = best_of(|| positions_aggregate(&table, &request));
+        let fused = || fused_aggregate(&table, &request);
+        let positions = || positions_aggregate(&table, &request);
 
         // Value identity first: a fast wrong answer gates nothing.
         let expected = oracle_aggregate(&table, request.column(), &request.predicate(), spec);
-        assert_eq!(fused, expected, "{name}: fused answer diverged from the oracle");
-        assert_eq!(baseline, expected, "{name}: baseline answer diverged from the oracle");
+        assert_eq!(fused(), expected, "{name}: fused answer diverged from the oracle");
+        assert_eq!(positions(), expected, "{name}: baseline answer diverged from the oracle");
 
         // The gate's denominator must be a real selection, not a degenerate
         // one: Q6 selects one year out of the seven-year shipdate domain.
@@ -106,15 +145,17 @@ fn fused_aggregation_beats_positions_then_aggregate_on_q6_at_4m_rows() {
         // Wall-clock parity guard: fused shares the scan and the per-match
         // decode with the baseline, so it must never fall meaningfully
         // behind it. 1.5x is the flake-proof ceiling.
+        let (fused_time, positions_time) = paired_medians(fused, positions);
         assert!(
             fused_time.as_secs_f64() <= 1.5 * positions_time.as_secs_f64(),
-            "{name}: the fused pipeline ({fused_time:?}) regressed against the \
-             positions-then-aggregate baseline ({positions_time:?}) over {ROWS} rows"
+            "{name}: the fused pipeline ({fused_time:?}, median) regressed against the \
+             positions-then-aggregate baseline ({positions_time:?}, median) over {ROWS} rows"
         );
         println!(
-            "tpch-olap gate {name}: fused {fused_time:?} vs positions {positions_time:?}, \
-             matched {matched}, materialized {materialized} B vs fused state {fused_state} B \
-             ({}x)",
+            "tpch-olap gate {name}: fused {fused_time:?} vs positions {positions_time:?} \
+             (median, {:.2}x), matched {matched}, materialized {materialized} B vs fused state \
+             {fused_state} B ({}x)",
+            fused_time.as_secs_f64() / positions_time.as_secs_f64(),
             materialized / fused_state.max(1)
         );
     }
