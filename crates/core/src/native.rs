@@ -56,8 +56,8 @@ use numascan_scheduler::{
     StealThrottleConfig, TaskMeta, TaskPriority, ThreadPool, WorkClass,
 };
 use numascan_storage::{
-    materialize_positions, scan_positions_with_estimate, ColumnId, DictColumn, EncodedPredicate,
-    IvLayoutKind, PhysicalPartitioning, Table,
+    materialize_positions, scan_positions, ColumnId, DictColumn, EncodedPredicate, IvLayoutKind,
+    PhysicalPartitioning, Table,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -181,8 +181,6 @@ struct PlannedPart {
     encoded: Arc<EncodedPredicate>,
     /// Index-vector bytes of one full pass over the part.
     bytes: u64,
-    /// Uniform-frequency selectivity estimate against the part's dictionary.
-    selectivity: f64,
 }
 
 impl PlannedPart {
@@ -255,7 +253,7 @@ impl Sink for RowSink {
 
     fn scan(&self, table: &Table, part: &PlannedPart, rows: Range<usize>) -> Vec<i64> {
         let column = part.column(table);
-        let positions = scan_positions_with_estimate(column, rows, &part.encoded, part.selectivity);
+        let positions = scan_positions(column, rows, &part.encoded);
         materialize_positions(column, &positions)
     }
 
@@ -677,12 +675,6 @@ impl NativeEngine {
             let bytes = column.iv_scan_bytes(part.rows.len());
             self.telemetry.socket_bytes[part.socket.index()].fetch_add(bytes, Ordering::Relaxed);
             self.telemetry.column_bytes[column_id.index()].fetch_add(bytes, Ordering::Relaxed);
-            let dictionary = column.dictionary();
-            let selectivity = if dictionary.is_empty() {
-                0.0
-            } else {
-                encoded.vid_count() as f64 / dictionary.len() as f64
-            };
             parts.push(Arc::new(PlannedPart {
                 index,
                 socket: part.socket,
@@ -692,7 +684,6 @@ impl NativeEngine {
                 local_base,
                 encoded: Arc::new(encoded),
                 bytes,
-                selectivity,
             }));
         }
         Ok(PartPlan { column_id, generation, epoch, placement_parts, parts, target })
@@ -1031,7 +1022,7 @@ impl NativeEngine {
                 let mut col = base.rebuild_range(
                     format!("{}#{}-{}", base.name(), rows.start, rows.end),
                     rows.clone(),
-                    base.has_index(),
+                    false,
                 );
                 col.relayout(layout);
                 Arc::new(col)

@@ -63,8 +63,8 @@ pub enum SharedScanMode {
     /// statements keep the private parallel path (and its deterministic
     /// telemetry replay) untouched.
     Auto,
-    /// Always share, regardless of concurrency (used by tests and the
-    /// `scan_sharing` experiment to measure the sharing machinery itself).
+    /// Always share, regardless of concurrency (used by tests to exercise
+    /// the sharing machinery itself).
     Always,
 }
 

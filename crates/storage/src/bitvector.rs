@@ -95,17 +95,6 @@ impl BitVector {
     pub fn memory_bytes(&self) -> usize {
         self.words.len() * 8
     }
-
-    /// Bitwise OR of another vector of the same length into this one.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &BitVector) {
-        assert_eq!(self.len, other.len, "bit-vector lengths differ");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,17 +122,6 @@ mod tests {
         }
         let ones: Vec<usize> = bv.iter_ones().collect();
         assert_eq!(ones, vec![3, 64, 65, 127, 199]);
-    }
-
-    #[test]
-    fn union_merges_bits() {
-        let mut a = BitVector::new(100);
-        let mut b = BitVector::new(100);
-        a.set(1);
-        b.set(2);
-        a.union_with(&b);
-        assert!(a.get(1) && a.get(2));
-        assert_eq!(a.count_ones(), 2);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Dictionary-encoded columns.
 //!
-//! A [`DictColumn`] bundles the three components of Figure 3 of the paper:
-//! the sorted dictionary, the bit-compressed index vector (IV) and an optional
-//! inverted index (IX) — plus a [`ZoneMap`] of per-zone min/max vids built at
-//! encode time, which lets scans skip whole row ranges and sharpens
-//! selectivity estimates.
+//! A [`DictColumn`] bundles the scanned components of Figure 3 of the paper:
+//! the sorted dictionary and the bit-compressed index vector (IV) — plus a
+//! [`ZoneMap`] of per-zone min/max vids built at encode time, which lets
+//! scans skip whole row ranges and sharpens selectivity estimates. Figure 3's
+//! inverted index is not built: no statement would read it (see the crate
+//! docs).
 //!
 //! The index vector itself is an [`IndexVector`]: either the word-parallel
 //! [`BitPackedVec`] layout or the run-length-encoded [`RleVec`] layout, chosen
@@ -14,11 +15,10 @@
 
 use crate::bitpack::{BitPackedIter, BitPackedVec};
 use crate::dictionary::Dictionary;
-use crate::index::InvertedIndex;
 use crate::predicate::EncodedPredicate;
 use crate::rle::{RleIter, RleVec};
 use crate::value::DictValue;
-use crate::zonemap::{VidBounds, ZoneMap, ZoneMapBuilder};
+use crate::zonemap::{ZoneMap, ZoneMapBuilder};
 
 /// Which physical layout an index vector uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,14 +159,6 @@ impl IndexVector {
         }
     }
 
-    /// Counts the elements of `positions` whose value lies in `[min, max]`.
-    pub fn count_range(&self, positions: std::ops::Range<usize>, min: u32, max: u32) -> usize {
-        match self {
-            IndexVector::BitPacked(v) => v.count_range(positions, min, max),
-            IndexVector::Rle(v) => v.count_range(positions, min, max),
-        }
-    }
-
     /// Bytes a scan over `rows` rows streams from memory under this layout.
     pub fn scan_bytes(&self, rows: usize) -> u64 {
         match self {
@@ -213,15 +205,22 @@ pub struct DictColumn<T: DictValue> {
     name: String,
     dict: Dictionary<T>,
     iv: IndexVector,
-    ix: Option<InvertedIndex>,
     zones: ZoneMap,
 }
 
 impl<T: DictValue> DictColumn<T> {
-    /// Builds a column from row values. An inverted index is built when
-    /// `with_index` is set.
-    pub fn from_values(name: impl Into<String>, values: &[T], with_index: bool) -> Self {
-        ColumnBuilder::new(name).with_index(with_index).build(values)
+    /// Builds a bit-packed column from row values.
+    pub fn from_values(name: impl Into<String>, values: &[T]) -> Self {
+        let dict = Dictionary::from_values(values.to_vec());
+        let mut iv = BitPackedVec::with_capacity(dict.bitcase(), values.len());
+        let mut zones = ZoneMapBuilder::new();
+        for v in values {
+            let vid = dict.lookup(v).expect("value must be in its own dictionary");
+            iv.push(vid);
+            zones.push(vid);
+        }
+        let iv = IndexVector::BitPacked(iv);
+        DictColumn { name: name.into(), dict, iv, zones: zones.finish() }
     }
 
     /// Column name.
@@ -247,16 +246,6 @@ impl<T: DictValue> DictColumn<T> {
     /// The physical layout of the index vector.
     pub fn layout(&self) -> IvLayoutKind {
         self.iv.layout()
-    }
-
-    /// The column's zone map.
-    pub fn zone_map(&self) -> &ZoneMap {
-        &self.zones
-    }
-
-    /// Conservative vid bounds of a row range, from the zone map.
-    pub fn zone_bounds(&self, rows: std::ops::Range<usize>) -> Option<VidBounds> {
-        self.zones.bounds(rows)
     }
 
     /// Whether the zone map proves a scan of `rows` under `predicate` is
@@ -296,9 +285,9 @@ impl<T: DictValue> DictColumn<T> {
         self.zones.run_fraction(rows)
     }
 
-    /// Converts the index vector to `layout` in place, preserving vids, the
-    /// inverted index and the zone map (both are layout-independent). Returns
-    /// `true` if the layout changed.
+    /// Converts the index vector to `layout` in place, preserving vids and
+    /// the zone map (which is layout-independent). Returns `true` if the
+    /// layout changed.
     pub fn relayout(&mut self, layout: IvLayoutKind) -> bool {
         match (&self.iv, layout) {
             (IndexVector::BitPacked(v), IvLayoutKind::Rle) => {
@@ -311,16 +300,6 @@ impl<T: DictValue> DictColumn<T> {
             }
             _ => false,
         }
-    }
-
-    /// The column's inverted index, if one was built.
-    pub fn inverted_index(&self) -> Option<&InvertedIndex> {
-        self.ix.as_ref()
-    }
-
-    /// Whether the column has an inverted index.
-    pub fn has_index(&self) -> bool {
-        self.ix.is_some()
     }
 
     /// The bitcase (bits per vid) of the index vector.
@@ -358,26 +337,9 @@ impl<T: DictValue> DictColumn<T> {
         self.dict.memory_bytes()
     }
 
-    /// Memory footprint of the inverted index in bytes (zero if absent).
-    pub fn index_bytes(&self) -> usize {
-        self.ix.as_ref().map_or(0, |ix| ix.memory_bytes())
-    }
-
     /// Total memory footprint of the column in bytes.
     pub fn total_bytes(&self) -> usize {
-        self.iv_bytes() + self.dictionary_bytes() + self.index_bytes()
-    }
-
-    /// Drops the inverted index (used after physical repartitioning when the
-    /// new parts should not pay for an index).
-    pub fn drop_index(&mut self) {
-        self.ix = None;
-    }
-
-    /// Builds (or rebuilds) the inverted index.
-    pub fn build_index(&mut self) {
-        self.ix =
-            Some(InvertedIndex::build_from_codes(self.iv.iter(), self.iv.len(), self.dict.len()));
+        self.iv_bytes() + self.dictionary_bytes()
     }
 
     /// Rebuilds a row range as a self-contained column straight from the
@@ -387,12 +349,17 @@ impl<T: DictValue> DictColumn<T> {
     /// sorted order without re-sorting or per-row value clones (one clone per
     /// *distinct* value), and a second code pass remaps into the part-local
     /// vid space while building the part's zone map.
+    ///
+    /// # Panics
+    /// Panics if `with_index` is set: columns carry no inverted index. The
+    /// flag remains only because the benchmark's adapter still passes it.
     pub fn rebuild_range(
         &self,
         name: impl Into<String>,
         rows: std::ops::Range<usize>,
         with_index: bool,
     ) -> DictColumn<T> {
+        assert!(!with_index, "columns carry no inverted index");
         let end = rows.end.min(self.row_count());
         let start = rows.start.min(end);
 
@@ -426,63 +393,15 @@ impl<T: DictValue> DictColumn<T> {
             zones.push(local);
         }
         let iv = IndexVector::BitPacked(iv);
-        let ix =
-            with_index.then(|| InvertedIndex::build_from_codes(iv.iter(), iv.len(), dict.len()));
-        DictColumn { name: name.into(), dict, iv, ix, zones: zones.finish() }
-    }
-}
-
-/// Builder for [`DictColumn`].
-#[derive(Debug, Clone)]
-pub struct ColumnBuilder {
-    name: String,
-    with_index: bool,
-    layout: IvLayoutKind,
-}
-
-impl ColumnBuilder {
-    /// Creates a builder for a column with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        ColumnBuilder { name: name.into(), with_index: false, layout: IvLayoutKind::BitPacked }
-    }
-
-    /// Whether to build an inverted index.
-    pub fn with_index(mut self, with_index: bool) -> Self {
-        self.with_index = with_index;
-        self
-    }
-
-    /// Which index-vector layout to build (bit-packed by default).
-    pub fn with_layout(mut self, layout: IvLayoutKind) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Builds the column from row values.
-    pub fn build<T: DictValue>(self, values: &[T]) -> DictColumn<T> {
-        let dict = Dictionary::from_values(values.to_vec());
-        let bits = dict.bitcase();
-        let mut iv = BitPackedVec::with_capacity(bits, values.len());
-        let mut zones = ZoneMapBuilder::new();
-        for v in values {
-            let vid = dict.lookup(v).expect("value must be in its own dictionary");
-            iv.push(vid);
-            zones.push(vid);
-        }
-        let iv = match self.layout {
-            IvLayoutKind::BitPacked => IndexVector::BitPacked(iv),
-            IvLayoutKind::Rle => IndexVector::Rle(RleVec::from_bitpacked(&iv)),
-        };
-        let ix = self
-            .with_index
-            .then(|| InvertedIndex::build_from_codes(iv.iter(), iv.len(), dict.len()));
-        DictColumn { name: self.name, dict, iv, ix, zones: zones.finish() }
+        DictColumn { name: name.into(), dict, iv, zones: zones.finish() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::Predicate;
+    use crate::scan::scan_positions;
 
     fn values() -> Vec<i64> {
         (0..1000i64).map(|i| (i * 37) % 250).collect()
@@ -491,7 +410,7 @@ mod tests {
     #[test]
     fn column_roundtrips_values() {
         let vals = values();
-        let col = DictColumn::from_values("c1", &vals, false);
+        let col = DictColumn::from_values("c1", &vals);
         assert_eq!(col.row_count(), vals.len());
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(col.value_at(i), v);
@@ -501,7 +420,7 @@ mod tests {
 
     #[test]
     fn bitcase_matches_distinct_count() {
-        let col = DictColumn::from_values("c", &values(), false);
+        let col = DictColumn::from_values("c", &values());
         assert_eq!(col.dictionary().len(), 250);
         assert_eq!(col.bitcase(), 8);
     }
@@ -511,7 +430,7 @@ mod tests {
         // A zero-row column has an empty dictionary and an empty zone map;
         // the estimate must come back 0.0, never NaN from a 0/0, because it
         // pre-sizes downstream position buffers.
-        let col = DictColumn::from_values("empty", &[] as &[i64], false);
+        let col = DictColumn::from_values("empty", &[] as &[i64]);
         assert_eq!(col.dictionary().len(), 0);
         for predicate in [
             EncodedPredicate::Empty,
@@ -524,40 +443,33 @@ mod tests {
         }
         // An empty predicate over a populated column is 0.0 too (and the
         // zone map prunes the scan outright).
-        let col = DictColumn::from_values("c", &values(), false);
+        let col = DictColumn::from_values("c", &values());
         assert_eq!(col.scan_selectivity_estimate(0..1000, &EncodedPredicate::Empty), 0.0);
         assert!(col.prunes(0..1000, &EncodedPredicate::Empty));
     }
 
     #[test]
-    fn index_is_optional_and_buildable_later() {
-        let mut col = DictColumn::from_values("c", &values(), false);
-        assert!(!col.has_index());
-        assert_eq!(col.index_bytes(), 0);
-        col.build_index();
-        assert!(col.has_index());
-        let ix = col.inverted_index().unwrap();
-        assert_eq!(ix.total_positions(), col.row_count());
-        col.drop_index();
-        assert!(!col.has_index());
+    fn memory_accounting_sums_components() {
+        let col = DictColumn::from_values("c", &values());
+        assert_eq!(col.total_bytes(), col.iv_bytes() + col.dictionary_bytes());
+        assert!(col.iv_bytes() > 0 && col.dictionary_bytes() > 0);
     }
 
     #[test]
-    fn memory_accounting_sums_components() {
-        let col = DictColumn::from_values("c", &values(), true);
-        assert_eq!(col.total_bytes(), col.iv_bytes() + col.dictionary_bytes() + col.index_bytes());
-        assert!(col.iv_bytes() > 0 && col.dictionary_bytes() > 0 && col.index_bytes() > 0);
+    #[should_panic(expected = "no inverted index")]
+    fn rebuilding_with_an_index_is_rejected() {
+        DictColumn::from_values("c", &values()).rebuild_range("part", 0..10, true);
     }
 
     #[test]
     fn scan_byte_telemetry_tracks_the_bitcase() {
-        let col = DictColumn::from_values("c", &values(), false);
+        let col = DictColumn::from_values("c", &values());
         assert_eq!(col.bitcase(), 8);
         assert_eq!(col.iv_scan_bytes(1000), 1000);
         assert_eq!(col.iv_scan_bytes(0), 0);
         // Rounds up to whole bytes for ranges not on a byte boundary.
         assert_eq!(col.iv_scan_bytes(3), 3);
-        let wide = DictColumn::from_values("w", &(0..100_000i64).collect::<Vec<_>>(), false);
+        let wide = DictColumn::from_values("w", &(0..100_000i64).collect::<Vec<_>>());
         assert_eq!(wide.bitcase(), 17);
         assert_eq!(wide.iv_scan_bytes(8), 17);
     }
@@ -568,27 +480,26 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let col = DictColumn::from_values("names", &vals, true);
+        let col = DictColumn::from_values("names", &vals);
         assert_eq!(col.dictionary().len(), 5);
         assert_eq!(col.value_at(3), "Anna");
-        let anna_vid = col.dictionary().lookup(&"Anna".to_string()).unwrap();
-        assert_eq!(col.inverted_index().unwrap().positions_of(anna_vid), &[1, 3]);
+        let anna = Predicate::InList(vec!["Anna".to_string()]).encode(col.dictionary());
+        assert_eq!(scan_positions(&col, 0..col.row_count(), &anna), [1, 3]);
     }
 
     #[test]
-    fn relayout_preserves_values_index_and_zone_map() {
+    fn relayout_preserves_values_and_zone_map() {
         let vals: Vec<i64> = (0..20_000i64).map(|i| i / 100).collect();
-        let mut col = DictColumn::from_values("c", &vals, true);
+        let mut col = DictColumn::from_values("c", &vals);
         assert_eq!(col.layout(), IvLayoutKind::BitPacked);
         let bitpacked_bytes = col.iv_bytes();
-        let zone_bounds = col.zone_bounds(0..col.row_count());
+        let zones = col.zones.clone();
 
         assert!(col.relayout(IvLayoutKind::Rle));
         assert_eq!(col.layout(), IvLayoutKind::Rle);
         assert!(!col.relayout(IvLayoutKind::Rle), "no-op relayout reports no change");
         assert!(col.iv_bytes() < bitpacked_bytes / 10, "sorted data must compress");
-        assert_eq!(col.zone_bounds(0..col.row_count()), zone_bounds);
-        assert!(col.has_index(), "the index survives a relayout");
+        assert_eq!(col.zones, zones);
         for i in [0usize, 99, 100, 19_999] {
             assert_eq!(col.value_at(i), &vals[i]);
         }
@@ -602,10 +513,8 @@ mod tests {
 
     #[test]
     fn rle_layout_answers_scans_identically() {
-        use crate::predicate::Predicate;
-        use crate::scan::scan_positions;
         let vals: Vec<i64> = (0..10_000i64).map(|i| i / 40).collect();
-        let packed = DictColumn::from_values("c", &vals, false);
+        let packed = DictColumn::from_values("c", &vals);
         let mut rle = packed.clone();
         rle.relayout(IvLayoutKind::Rle);
         for (lo, hi) in [(0i64, 249), (10, 19), (100, 100), (300, 200)] {
@@ -620,9 +529,8 @@ mod tests {
 
     #[test]
     fn zone_pruning_skips_row_ranges_the_predicate_cannot_match() {
-        use crate::predicate::Predicate;
         let vals: Vec<i64> = (0..16_384i64).collect(); // 4 zones, disjoint vid bands
-        let col = DictColumn::from_values("c", &vals, false);
+        let col = DictColumn::from_values("c", &vals);
         let low = Predicate::Between { lo: 0i64, hi: 100 }.encode(col.dictionary());
         assert!(!col.prunes(0..4096, &low));
         assert!(col.prunes(4096..8192, &low), "zone 1 holds vids 4096.., cannot match");
@@ -634,9 +542,9 @@ mod tests {
     #[test]
     fn rebuild_range_matches_the_value_by_value_rebuild() {
         let vals: Vec<i64> = (0..4000i64).map(|i| (i * 13) % 100).collect();
-        let col = DictColumn::from_values("col", &vals, true);
-        let rebuilt = col.rebuild_range("part", 1000..2000, true);
-        let reference = DictColumn::from_values("part", &vals[1000..2000], true);
+        let col = DictColumn::from_values("col", &vals);
+        let rebuilt = col.rebuild_range("part", 1000..2000, false);
+        let reference = DictColumn::from_values("part", &vals[1000..2000]);
         assert_eq!(rebuilt, reference);
         // Clamps out-of-bounds ranges; empty ranges build empty columns.
         assert_eq!(col.rebuild_range("e", 4000..5000, false).row_count(), 0);

@@ -12,7 +12,6 @@
 //! word loads with no per-element assert or straddle branch.
 
 use crate::column::{DictColumn, IndexVector};
-use crate::scan::MatchList;
 use crate::value::DictValue;
 
 /// Validates a batch of positions once so the per-element decode can skip its
@@ -31,64 +30,15 @@ pub fn materialize_positions<T: DictValue>(column: &DictColumn<T>, positions: &[
     positions.iter().map(|&p| dict.value(iv.decode_at(p as usize)).clone()).collect()
 }
 
-/// Materializes a sub-range `[first, last)` of a match list into `out`.
-///
-/// This mirrors how the engine parallelizes materialization: the output vector
-/// is split into fixed regions and one task materializes each region. The
-/// bit-vector form is walked directly (set-bit iteration), without first
-/// expanding it into a position list.
-pub fn materialize_range<T: DictValue>(
-    column: &DictColumn<T>,
-    matches: &MatchList,
-    first: usize,
-    last: usize,
-    out: &mut Vec<T>,
-) {
-    let last = last.min(matches.count());
-    let first = first.min(last);
-    let iv = column.index_vector();
-    let dict = column.dictionary();
-    out.reserve(last - first);
-    match matches {
-        MatchList::Positions(positions) => {
-            let positions = &positions[first..last];
-            check_positions(iv, positions);
-            out.extend(positions.iter().map(|&p| dict.value(iv.decode_at(p as usize)).clone()));
-        }
-        MatchList::Bits { offset, bits } => {
-            assert!(
-                offset + bits.len() <= iv.len(),
-                "bit-vector rows {}..{} out of bounds (len {})",
-                offset,
-                offset + bits.len(),
-                iv.len()
-            );
-            out.extend(
-                bits.iter_ones()
-                    .skip(first)
-                    .take(last - first)
-                    .map(|p| dict.value(iv.decode_at(p + offset)).clone()),
-            );
-        }
-    }
-}
-
-/// Materializes every qualifying row of a match list.
-pub fn materialize_all<T: DictValue>(column: &DictColumn<T>, matches: &MatchList) -> Vec<T> {
-    let mut out = Vec::with_capacity(matches.count());
-    materialize_range(column, matches, 0, matches.count(), &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
-    use crate::scan::{scan_bitvector, scan_positions};
+    use crate::scan::scan_positions;
 
     fn column() -> DictColumn<i64> {
         let values: Vec<i64> = (0..5000i64).map(|i| (i * 31) % 500).collect();
-        DictColumn::from_values("c", &values, false)
+        DictColumn::from_values("c", &values)
     }
 
     #[test]
@@ -99,53 +49,6 @@ mod tests {
         let values = materialize_positions(&col, &positions);
         assert_eq!(values.len(), positions.len());
         assert!(values.iter().all(|v| (100..=120).contains(v)));
-    }
-
-    #[test]
-    fn range_materialization_concatenates_to_full_output() {
-        let col = column();
-        let pred = Predicate::Between { lo: 0, hi: 499 }.encode(col.dictionary());
-        let matches = scan_bitvector(&col, 0..col.row_count(), &pred);
-        let full = materialize_all(&col, &matches);
-        assert_eq!(full.len(), col.row_count());
-
-        // Materialize in 4 chunks and compare.
-        let total = matches.count();
-        let chunk = total / 4;
-        let mut pieces = Vec::new();
-        for i in 0..4 {
-            let first = i * chunk;
-            let last = if i == 3 { total } else { (i + 1) * chunk };
-            let mut out = Vec::new();
-            materialize_range(&col, &matches, first, last, &mut out);
-            pieces.extend(out);
-        }
-        assert_eq!(pieces, full);
-    }
-
-    #[test]
-    fn bit_and_position_forms_materialize_identically() {
-        let col = column();
-        let pred = Predicate::Between { lo: 37, hi: 120 }.encode(col.dictionary());
-        let as_positions = MatchList::Positions(scan_positions(&col, 100..4100, &pred));
-        let as_bits = scan_bitvector(&col, 100..4100, &pred);
-        assert_eq!(materialize_all(&col, &as_positions), materialize_all::<i64>(&col, &as_bits));
-        // Sub-ranges too, including ones not aligned to bit-vector words.
-        let mut from_positions = Vec::new();
-        let mut from_bits = Vec::new();
-        materialize_range(&col, &as_positions, 3, 77, &mut from_positions);
-        materialize_range(&col, &as_bits, 3, 77, &mut from_bits);
-        assert_eq!(from_positions, from_bits);
-    }
-
-    #[test]
-    fn out_of_range_bounds_are_clamped() {
-        let col = column();
-        let pred = Predicate::Between { lo: 0, hi: 10 }.encode(col.dictionary());
-        let matches = MatchList::Positions(scan_positions(&col, 0..col.row_count(), &pred));
-        let mut out = Vec::new();
-        materialize_range(&col, &matches, 5, usize::MAX, &mut out);
-        assert_eq!(out.len(), matches.count().saturating_sub(5));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * **Indexvector partitioning (IVP)** keeps the column's components intact
 //!   and only *moves the pages* of equal-sized ranges of the index vector to
-//!   different sockets. The dictionary and index stay interleaved. This module
+//!   different sockets. The dictionary stays interleaved. This module
 //!   provides the row-range split points; the page movement itself is done by
 //!   the placement layer.
 //! * **Physical partitioning (PP)** splits the table into row ranges and
@@ -53,18 +53,16 @@ pub struct PhysicalPartitioning<T: DictValue> {
 
 impl<T: DictValue> PhysicalPartitioning<T> {
     /// Physically repartitions a column into `parts` equal row ranges,
-    /// rebuilding dictionary, index vector and (if the original had one)
-    /// inverted index for every part.
+    /// rebuilding dictionary and index vector for every part.
     pub fn create(column: &DictColumn<T>, parts: usize) -> Self {
         let ranges = ivp_ranges(column.row_count(), parts);
-        let with_index = column.has_index();
         let parts = ranges
             .into_iter()
             .map(|rows| {
                 let part_column = column.rebuild_range(
                     format!("{}#{}-{}", column.name(), rows.start, rows.end),
                     rows.clone(),
-                    with_index,
+                    false,
                 );
                 PhysicalPartition { rows, column: part_column }
             })
@@ -108,15 +106,6 @@ impl<T: DictValue> PhysicalPartitioning<T> {
         }
         self.total_bytes() as f64 / self.original_bytes as f64 - 1.0
     }
-
-    /// The part containing a global row position, along with the local
-    /// position inside that part.
-    pub fn locate_row(&self, pos: usize) -> Option<(usize, usize)> {
-        self.parts
-            .iter()
-            .position(|p| p.rows.contains(&pos))
-            .map(|idx| (idx, pos - self.parts[idx].rows.start))
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +138,7 @@ mod tests {
 
     fn column() -> DictColumn<i64> {
         let values: Vec<i64> = (0..4000i64).map(|i| (i * 13) % 100).collect();
-        DictColumn::from_values("col", &values, true)
+        DictColumn::from_values("col", &values)
     }
 
     #[test]
@@ -162,7 +151,6 @@ mod tests {
             for (local, global) in part.rows.clone().enumerate() {
                 assert_eq!(part.column.value_at(local), col.value_at(global));
             }
-            assert!(part.column.has_index(), "parts inherit the index of the original");
         }
     }
 
@@ -183,20 +171,10 @@ mod tests {
         // disjoint value ranges and the dictionaries do not overlap
         // (the paper's "only case where this does not occur").
         let values: Vec<i64> = (0..4000i64).collect();
-        let col = DictColumn::from_values("sorted", &values, false);
+        let col = DictColumn::from_values("sorted", &values);
         let pp = PhysicalPartitioning::create(&col, 4);
         let dict_entries: usize = pp.parts().iter().map(|p| p.column.dictionary().len()).sum();
         assert_eq!(dict_entries, col.dictionary().len());
-    }
-
-    #[test]
-    fn locate_row_finds_the_owning_part() {
-        let col = column();
-        let pp = PhysicalPartitioning::create(&col, 4);
-        assert_eq!(pp.locate_row(0), Some((0, 0)));
-        assert_eq!(pp.locate_row(1000), Some((1, 0)));
-        assert_eq!(pp.locate_row(3999), Some((3, 999)));
-        assert_eq!(pp.locate_row(4000), None);
     }
 
     #[test]

@@ -241,16 +241,6 @@ impl<T: DictValue> Predicate<T> {
             }
         }
     }
-
-    /// Estimated selectivity of the predicate against a dictionary, assuming
-    /// values are uniformly distributed over the dictionary entries (which is
-    /// exactly how the paper's synthetic dataset is generated).
-    pub fn estimated_selectivity(&self, dict: &Dictionary<T>) -> f64 {
-        if dict.is_empty() {
-            return 0.0;
-        }
-        self.encode(dict).vid_count() as f64 / dict.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +263,6 @@ mod tests {
             }
             other => panic!("expected a range, got {other:?}"),
         }
-        assert!((p.estimated_selectivity(&d) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -363,12 +352,5 @@ mod tests {
         let inverted = EncodedPredicate::Range(VidRange { first: 9, last: 2 });
         assert_eq!(inverted.lane_bounds(32), None);
         assert_eq!(EncodedPredicate::Empty.lane_bounds(32), None);
-    }
-
-    #[test]
-    fn selectivity_of_impossible_predicate_is_zero() {
-        let d = dict();
-        let p = Predicate::Between { lo: 2000, hi: 3000 };
-        assert_eq!(p.estimated_selectivity(&d), 0.0);
     }
 }

@@ -300,34 +300,9 @@ impl RleVec {
         }
     }
 
-    /// Calls `on_match(position)` for every element in `positions` whose value
-    /// lies in `[min, max]` — positions are recovered run-wise, without per-row
-    /// predicate evaluation.
-    pub fn scan_range<F: FnMut(usize)>(
-        &self,
-        positions: Range<usize>,
-        min: u32,
-        max: u32,
-        mut on_match: F,
-    ) {
-        let Some((start, end, max)) = clamp_scan(self.len, self.bits, positions, min, max) else {
-            return;
-        };
-        let mut r = self.run_index(start);
-        while r < self.vids.len() && (self.starts[r] as usize) < end {
-            if self.vids[r] >= min && self.vids[r] <= max {
-                let lo = (self.starts[r] as usize).max(start);
-                let hi = self.run_end(r).min(end);
-                for p in lo..hi {
-                    on_match(p);
-                }
-            }
-            r += 1;
-        }
-    }
-
     /// Counts the elements of `positions` whose value lies in `[min, max]` by
-    /// summing clipped run lengths — no per-row work at all.
+    /// summing clipped run lengths — no per-row work at all. The twin of
+    /// [`BitPackedVec::count_range`], timed against it by the release gates.
     pub fn count_range(&self, positions: Range<usize>, min: u32, max: u32) -> usize {
         let Some((start, end, max)) = clamp_scan(self.len, self.bits, positions, min, max) else {
             return 0;
@@ -431,9 +406,6 @@ mod tests {
                 for range in [0..codes.len(), 13..codes.len() - 7, 63..65, 0..1, 700..700] {
                     let mut expected = Vec::new();
                     packed.scan_range_scalar(range.clone(), min, max, |p| expected.push(p));
-                    let mut got = Vec::new();
-                    rle.scan_range(range.clone(), min, max, |p| got.push(p));
-                    assert_eq!(got, expected, "scan_range {range:?} [{min}, {max}]");
                     assert_eq!(
                         rle.count_range(range.clone(), min, max),
                         expected.len(),

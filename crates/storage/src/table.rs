@@ -3,11 +3,9 @@
 //! The paper's sensitivity analysis uses a single wide table of random integer
 //! columns (100 million rows, one ID column and 160 payload columns with
 //! bitcases 17 to 26). [`Table`] models exactly that shape: a collection of
-//! [`DictColumn<i64>`] columns of equal row count, optionally physically
-//! partitioned into row ranges.
+//! [`DictColumn<i64>`] columns of equal row count.
 
 use crate::column::DictColumn;
-use crate::partition::ivp_ranges;
 
 /// Identifier of a column within a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,11 +42,6 @@ impl Table {
         self.columns.len()
     }
 
-    /// All column ids of the table.
-    pub fn column_ids(&self) -> impl Iterator<Item = ColumnId> {
-        (0..self.columns.len()).map(ColumnId)
-    }
-
     /// A column by id.
     ///
     /// # Panics
@@ -70,11 +63,6 @@ impl Table {
     /// Total memory footprint of the table in bytes.
     pub fn total_bytes(&self) -> usize {
         self.columns.iter().map(|c| c.total_bytes()).sum()
-    }
-
-    /// Equal row-range split points for physically partitioning this table.
-    pub fn partition_ranges(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        ivp_ranges(self.row_count, parts)
     }
 }
 
@@ -114,8 +102,13 @@ impl TableBuilder {
     }
 
     /// Builds a column from values and adds it.
+    ///
+    /// # Panics
+    /// Panics if `with_index` is set: columns carry no inverted index. The
+    /// flag remains only because the benchmark's adapter still passes it.
     pub fn add_values(self, name: impl Into<String>, values: &[i64], with_index: bool) -> Self {
-        self.add_column(DictColumn::from_values(name, values, with_index))
+        assert!(!with_index, "columns carry no inverted index");
+        self.add_column(DictColumn::from_values(name, values))
     }
 
     /// Finishes the table.
@@ -137,7 +130,7 @@ mod tests {
         let payload: Vec<i64> = (0..1000).map(|i| (i * 17) % 97).collect();
         TableBuilder::new("tbl")
             .add_values("id", &ids, false)
-            .add_values("col1", &payload, true)
+            .add_values("col1", &payload, false)
             .build()
     }
 
@@ -150,7 +143,7 @@ mod tests {
         assert_eq!(t.column(ColumnId(0)).name(), "id");
         let (id, col) = t.column_by_name("col1").unwrap();
         assert_eq!(id, ColumnId(1));
-        assert!(col.has_index());
+        assert_eq!(col.row_count(), 1000);
         assert!(t.column_by_name("nope").is_none());
     }
 
@@ -167,10 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn partition_ranges_cover_table() {
-        let t = table();
-        let ranges = t.partition_ranges(3);
-        assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), 1000);
+    #[should_panic(expected = "no inverted index")]
+    fn asking_for_an_inverted_index_is_rejected() {
+        TableBuilder::new("t").add_values("a", &[1, 2, 3], true);
     }
 
     #[test]

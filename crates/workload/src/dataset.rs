@@ -21,8 +21,8 @@ pub const PAPER_BITCASES: std::ops::RangeInclusive<u8> = 17..=26;
 /// Builds the metadata-only description of the paper's table, scaled to
 /// `rows` rows and `payload_columns` columns (pass [`PAPER_ROWS`] and
 /// [`PAPER_COLUMNS`] for the full-scale dataset). When `with_index` is set,
-/// every payload column also carries an inverted index (used by the
-/// selectivity experiment of Figure 14).
+/// every payload column is modelled with an inverted index (the simulator's
+/// index-lookup path, used by the selectivity experiment of Figure 14).
 pub fn paper_table_spec(rows: u64, payload_columns: usize, with_index: bool) -> TableSpec {
     assert!(payload_columns > 0, "the dataset needs at least one payload column");
     let mut columns = Vec::with_capacity(payload_columns + 1);
@@ -57,12 +57,12 @@ pub fn small_real_table(rows: usize, payload_columns: usize, seed: u64) -> Table
     let mut builder = TableBuilder::new("scan_tbl_small").add_values("id", &ids, false);
     let bitcase_span = (*PAPER_BITCASES.end() - *PAPER_BITCASES.start() + 1) as usize;
     for i in 0..payload_columns {
-        // Keep the dictionaries small relative to the row count so scans and
-        // index lookups exercise duplicate values.
+        // Keep the dictionaries small relative to the row count so scans
+        // exercise duplicate values.
         let bitcase = 8 + (i % bitcase_span) as u32;
         let max = 1i64 << bitcase;
         let values: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..max)).collect();
-        builder = builder.add_values(format!("col{i:03}"), &values, true);
+        builder = builder.add_values(format!("col{i:03}"), &values, false);
     }
     builder.build()
 }
@@ -100,7 +100,6 @@ mod tests {
         let (_, col_a) = a.column_by_name("col001").unwrap();
         let (_, col_b) = b.column_by_name("col001").unwrap();
         assert_eq!(col_a.value_at(123), col_b.value_at(123), "same seed, same data");
-        assert!(col_a.has_index());
         let c = small_real_table(10_000, 4, 43);
         let (_, col_c) = c.column_by_name("col001").unwrap();
         // Different seeds almost surely differ somewhere in the first rows.

@@ -11,8 +11,8 @@
 //! * [`numasim`] — a deterministic virtual NUMA machine (topologies, page
 //!   placement, bandwidth/latency contention, hardware counters).
 //! * [`storage`] — the column-store storage layer (dictionary encoding,
-//!   bit-packed index vectors, inverted indexes, scans, materialization,
-//!   partitioning).
+//!   bit-packed and run-length index vectors, zone maps, scans,
+//!   materialization, partitioning).
 //! * [`psm`] — the Page Socket Mapping metadata structure.
 //! * [`scheduler`] — the NUMA-aware task scheduler (thread groups, hard/soft
 //!   affinities, stealing policies, concurrency hint), with a real-thread

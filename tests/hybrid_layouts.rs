@@ -35,7 +35,7 @@ fn zone_maps_leave_at_most_two_of_eight_parts_of_a_sorted_column() {
     // most two of them (zone granularity can keep one neighbour alive).
     let rows = 1_000_000usize;
     let values: Vec<i64> = (0..rows as i64).map(|i| i / 64).collect();
-    let column = DictColumn::from_values("sorted", &values, false);
+    let column = DictColumn::from_values("sorted", &values);
     let predicate = Predicate::Between { lo: 1_000, hi: 1_100 };
     let encoded = predicate.encode(column.dictionary());
     let ranges = ivp_ranges(rows, 8);

@@ -106,7 +106,7 @@ fn physical_repartitioning_beats_the_per_row_value_rebuild() {
     // flake-proof floor; the win is typically far larger.
     let rows = 2_000_000usize;
     let values: Vec<i64> = (0..rows as i64).map(|i| (i * 7919) % 4096).collect();
-    let column = DictColumn::from_values("big", &values, false);
+    let column = DictColumn::from_values("big", &values);
 
     let fast = || PhysicalPartitioning::create(&column, 4).row_count();
     let naive = || {
@@ -114,7 +114,7 @@ fn physical_repartitioning_beats_the_per_row_value_rebuild() {
             .into_iter()
             .map(|range| {
                 let vals: Vec<i64> = range.clone().map(|p| *column.value_at(p)).collect();
-                DictColumn::from_values(format!("big#{}-{}", range.start, range.end), &vals, false)
+                DictColumn::from_values(format!("big#{}-{}", range.start, range.end), &vals)
             })
             .collect();
         parts.iter().map(|p| p.row_count()).sum::<usize>()
@@ -138,7 +138,7 @@ fn in_lists_cost_about_what_a_range_costs() {
     // window), where an IN list has more runs than a window has lanes.
     let domain = 1i64 << 17;
     let values: Vec<i64> = (0..ROWS as i64).map(|i| (i * 7919) % domain).collect();
-    let column = DictColumn::from_values("c", &values, false);
+    let column = DictColumn::from_values("c", &values);
     assert_eq!(column.bitcase(), 17);
     let in_list = Predicate::InList(vec![1000, 1060, 1120, 1180, 1249]);
     let between = Predicate::Between { lo: 1000, hi: 1003 };

@@ -11,7 +11,7 @@ use numascan::scheduler::{
 };
 use numascan::storage::{
     scan_bitvector, scan_positions, BitPackedVec, BitVector, DictColumn, Dictionary,
-    EncodedPredicate, InvertedIndex, IvLayoutKind, Predicate, RleVec, VidRuns,
+    EncodedPredicate, IvLayoutKind, Predicate, RleVec, VidRuns,
 };
 
 /// Reference model of one queued task, keyed by the id stored as payload.
@@ -89,6 +89,11 @@ fn expand_tiled(stream: &[(usize, u32, u64)], start: usize) -> Result<(Vec<usize
     Ok((positions, next))
 }
 
+/// The rows a bit-vector scan anchored at `start` selects.
+fn rows_of(bits: &BitVector, start: usize) -> Vec<u32> {
+    bits.iter_ones().map(|i| (start + i) as u32).collect()
+}
+
 /// An `IN` list for the kernel twins, drawn from `raw` in one of five
 /// shapes: spread over the lane domain with a little overhang (at wide
 /// bitcases, spans wider than any bitmap bound), clustered around one vid
@@ -136,8 +141,9 @@ proptest! {
     ) {
         let hi = lo.saturating_add(span);
         let packed = BitPackedVec::from_slice(10, &values);
-        let mut scanned = Vec::new();
-        packed.scan_range(0..values.len(), lo, hi, |p| scanned.push(p));
+        let mut runs: Vec<(usize, u32, u64)> = Vec::new();
+        packed.scan_range_masks(0..values.len(), lo, hi, |base, n, m| runs.push((base, n, m)));
+        let (scanned, _) = expand_tiled(&runs, 0)?;
         let expected: Vec<usize> = values
             .iter()
             .enumerate()
@@ -178,9 +184,6 @@ proptest! {
         let mut expected = Vec::new();
         packed.scan_range_scalar(start..end, min, max, |p| expected.push(p));
 
-        let mut from_swar = Vec::new();
-        packed.scan_range(start..end, min, max, |p| from_swar.push(p));
-        prop_assert_eq!(&from_swar, &expected, "scan_range: bits {}, [{}, {}]", bits, min, max);
         prop_assert_eq!(
             packed.count_range(start..end, min, max),
             expected.len(),
@@ -245,9 +248,6 @@ proptest! {
         let mut expected = Vec::new();
         packed.scan_range_scalar(start..end, min, max, |p| expected.push(p));
 
-        let mut from_rle = Vec::new();
-        rle.scan_range(start..end, min, max, |p| from_rle.push(p));
-        prop_assert_eq!(&from_rle, &expected, "scan_range: bits {}, [{}, {}]", bits, min, max);
         prop_assert_eq!(rle.count_range(start..end, min, max), expected.len());
 
         // The mask stream must honour the same tiling contract as the SWAR
@@ -291,7 +291,7 @@ proptest! {
         start in 0usize..400,
         row_span in 0usize..400,
     ) {
-        let col = DictColumn::from_values("c", &values, false);
+        let col = DictColumn::from_values("c", &values);
         let mut rle_col = col.clone();
         rle_col.relayout(IvLayoutKind::Rle);
         prop_assert_eq!(rle_col.layout(), IvLayoutKind::Rle);
@@ -312,14 +312,14 @@ proptest! {
                 prop_assert_eq!(&got, &expected, "{:?} on {:?}", pred, column.layout());
             }
             prop_assert_eq!(
-                scan_bitvector(&col, start..end, &encoded).to_positions(),
-                scan_bitvector(&rle_col, start..end, &encoded).to_positions(),
+                scan_bitvector(&col, start..end, &encoded),
+                scan_bitvector(&rle_col, start..end, &encoded),
                 "{:?}", pred
             );
         }
 
         let rebuilt = col.rebuild_range("part".to_string(), start..end, false);
-        let reference = DictColumn::from_values("part", &values[start..end], false);
+        let reference = DictColumn::from_values("part", &values[start..end]);
         prop_assert_eq!(rebuilt.row_count(), reference.row_count());
         for p in 0..reference.row_count() {
             prop_assert_eq!(rebuilt.value_at(p), reference.value_at(p));
@@ -339,7 +339,7 @@ proptest! {
         start in 0usize..500,
         row_span in 0usize..500,
     ) {
-        let col = DictColumn::from_values("c", &values, false);
+        let col = DictColumn::from_values("c", &values);
         let end = (start + row_span).min(values.len());
         let start = start.min(end);
         let pred = match kind {
@@ -389,7 +389,7 @@ proptest! {
         start in 0usize..400,
         row_span in 0usize..400,
     ) {
-        let col = DictColumn::from_values("c", &values, false);
+        let col = DictColumn::from_values("c", &values);
         let end = (start + row_span).min(values.len());
         let start = start.min(end);
         let hi = lo + value_span;
@@ -406,8 +406,9 @@ proptest! {
             let positions = scan_positions(&col, start..end, pred);
             prop_assert_eq!(&positions, &expected, "{:?}", pred);
             let bits = scan_bitvector(&col, start..end, pred);
-            prop_assert_eq!(bits.to_positions(), expected, "{:?}", pred);
-            prop_assert_eq!(bits.count(), positions.len());
+            prop_assert_eq!(bits.len(), end - start);
+            prop_assert_eq!(rows_of(&bits, start), expected, "{:?}", pred);
+            prop_assert_eq!(bits.count_ones(), positions.len());
         }
     }
 
@@ -427,23 +428,6 @@ proptest! {
             let by_vid = encoded.matches(vid);
             let by_value = *v >= lo && *v <= hi;
             prop_assert_eq!(by_vid, by_value, "value {}", v);
-        }
-    }
-
-    /// The inverted index returns exactly the positions of each vid.
-    #[test]
-    fn inverted_index_matches_positions(values in proptest::collection::vec(0u32..50, 1..300)) {
-        let iv = BitPackedVec::from_slice(6, &values);
-        let ix = InvertedIndex::build(&iv, 50);
-        prop_assert_eq!(ix.total_positions(), values.len());
-        for vid in 0u32..50 {
-            let expected: Vec<u32> = values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| **v == vid)
-                .map(|(i, _)| i as u32)
-                .collect();
-            prop_assert_eq!(ix.positions_of(vid), expected.as_slice());
         }
     }
 
