@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use numascan_core::{
-    AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, NativePlacement, SessionManager,
+    AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, PlacementStrategy, SessionManager,
 };
 use numascan_numasim::Topology;
 use numascan_scheduler::{SchedulerStats, SchedulingStrategy, StealThrottleConfig};
@@ -29,7 +29,7 @@ fn session(scale: &ExperimentScale) -> SessionManager {
         &topology,
         NativeEngineConfig {
             strategy: SchedulingStrategy::Target,
-            placement: NativePlacement::RoundRobin,
+            placement: PlacementStrategy::RoundRobin,
             steal_throttle: Some(StealThrottleConfig::calibrated(
                 topology.socket.local_bandwidth_gibs,
             )),

@@ -9,7 +9,7 @@
 //! `storage.rows_examined_per_result`, `storage.rle_scan_mrows_per_s`).
 
 use numascan_core::{
-    AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, NativePlacement, PlacerAction,
+    AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, PlacementStrategy, PlacerAction,
     SessionManager,
 };
 use numascan_numasim::Topology;
@@ -36,7 +36,7 @@ fn advisor_session(rows: usize) -> SessionManager {
         &Topology::four_socket_ivybridge_ex(),
         NativeEngineConfig {
             strategy: SchedulingStrategy::Bound,
-            placement: NativePlacement::IndexVectorPartitioned { parts: 4 },
+            placement: PlacementStrategy::IndexVectorPartitioned { parts: 4 },
             ..Default::default()
         },
     ))

@@ -66,6 +66,7 @@ use crate::aggregate::{
     accumulate_filtered, accumulate_positions, dense_group_capacity, GroupAccumulator, RowReader,
 };
 use crate::error::EngineError;
+use crate::placement::PlacementStrategy;
 use crate::query::ColumnRef;
 use crate::session::{QueryResult, ScanRequest};
 use crate::shared::{
@@ -73,34 +74,13 @@ use crate::shared::{
     SharedScanRegistry, SharedScanStats, SweepKey,
 };
 
-/// How the engine initially spreads each column's rows over sockets,
-/// mirroring the three data placement strategies of Section 4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NativePlacement {
-    /// Whole columns round-robin over the sockets (RR).
-    RoundRobin,
-    /// Every column's index vector split into `parts` row ranges spread over
-    /// the sockets (IVP).
-    IndexVectorPartitioned {
-        /// Number of parts per column.
-        parts: usize,
-    },
-    /// Every column physically rebuilt into `parts` self-contained columns
-    /// (own dictionary and re-encoded index vector), spread over the sockets
-    /// (PP).
-    PhysicallyPartitioned {
-        /// Number of parts per column.
-        parts: usize,
-    },
-}
-
 /// Configuration of a [`NativeEngine`].
 #[derive(Debug, Clone)]
 pub struct NativeEngineConfig {
     /// Task scheduling strategy (OS / Target / Bound).
     pub strategy: SchedulingStrategy,
-    /// Initial data placement of every column.
-    pub placement: NativePlacement,
+    /// Initial data placement of every column (RR, IVP or PP).
+    pub placement: PlacementStrategy,
     /// Bandwidth-aware steal throttle for the worker pool (`None` = off,
     /// keeping the static strategy semantics).
     pub steal_throttle: Option<StealThrottleConfig>,
@@ -117,7 +97,7 @@ impl Default for NativeEngineConfig {
     fn default() -> Self {
         NativeEngineConfig {
             strategy: SchedulingStrategy::Bound,
-            placement: NativePlacement::RoundRobin,
+            placement: PlacementStrategy::RoundRobin,
             steal_throttle: None,
             workers_per_group: None,
             shared_scans: SharedScanConfig::default(),
@@ -476,21 +456,21 @@ impl NativeEngine {
         table: &Table,
         column: usize,
         sockets: usize,
-        placement: NativePlacement,
+        placement: PlacementStrategy,
     ) -> ColumnPlacement {
         let rows = table.row_count();
         match placement {
-            NativePlacement::RoundRobin => ColumnPlacement {
+            PlacementStrategy::RoundRobin => ColumnPlacement {
                 parts: vec![ColumnPart {
                     rows: 0..rows,
                     socket: SocketId((column % sockets) as u16),
                     data: None,
                 }],
             },
-            NativePlacement::IndexVectorPartitioned { parts } => {
+            PlacementStrategy::IndexVectorPartitioned { parts } => {
                 Self::ivp_placement(rows, parts, column, sockets)
             }
-            NativePlacement::PhysicallyPartitioned { parts } => {
+            PlacementStrategy::PhysicallyPartitioned { parts } => {
                 Self::pp_placement(table.column(ColumnId(column)), parts, column, sockets)
             }
         }
@@ -1108,9 +1088,9 @@ mod tests {
         let rows = 40_000;
         let expected = reference_between(rows, 200, 449);
         for placement in [
-            NativePlacement::RoundRobin,
-            NativePlacement::IndexVectorPartitioned { parts: 4 },
-            NativePlacement::PhysicallyPartitioned { parts: 4 },
+            PlacementStrategy::RoundRobin,
+            PlacementStrategy::IndexVectorPartitioned { parts: 4 },
+            PlacementStrategy::PhysicallyPartitioned { parts: 4 },
         ] {
             let engine = NativeEngine::with_config(
                 table(rows),
@@ -1258,7 +1238,7 @@ mod tests {
             table,
             &small_topology(),
             NativeEngineConfig {
-                placement: NativePlacement::IndexVectorPartitioned { parts: 4 },
+                placement: PlacementStrategy::IndexVectorPartitioned { parts: 4 },
                 ..Default::default()
             },
         );
@@ -1288,7 +1268,7 @@ mod tests {
             table,
             &small_topology(),
             NativeEngineConfig {
-                placement: NativePlacement::IndexVectorPartitioned { parts: 4 },
+                placement: PlacementStrategy::IndexVectorPartitioned { parts: 4 },
                 shared_scans: SharedScanConfig {
                     mode: SharedScanMode::Always,
                     ..SharedScanConfig::default()
@@ -1368,9 +1348,9 @@ mod tests {
         let request = ScanRequest::between("payload", 100, 649).with_aggregate(agg.clone());
         let expected = oracle_aggregate(&build(), "payload", &request.predicate(), &agg);
         for placement in [
-            NativePlacement::RoundRobin,
-            NativePlacement::IndexVectorPartitioned { parts: 4 },
-            NativePlacement::PhysicallyPartitioned { parts: 4 },
+            PlacementStrategy::RoundRobin,
+            PlacementStrategy::IndexVectorPartitioned { parts: 4 },
+            PlacementStrategy::PhysicallyPartitioned { parts: 4 },
         ] {
             for mode in [SharedScanMode::Off, SharedScanMode::Always] {
                 let engine = NativeEngine::with_config(

@@ -23,7 +23,7 @@
 use std::collections::HashSet;
 
 use numascan::core::{
-    NativeEngine, NativeEngineConfig, NativePlacement, PlacerAction, ScanRequest, ScanSpec,
+    NativeEngine, NativeEngineConfig, PlacementStrategy, PlacerAction, ScanRequest, ScanSpec,
     SessionManager,
 };
 use numascan::numasim::Topology;
@@ -113,9 +113,9 @@ fn assert_matches_oracle(session: &SessionManager, clients: usize, context: &str
 #[test]
 fn concurrent_clients_match_the_sequential_oracle_across_placements_and_strategies() {
     for placement in [
-        NativePlacement::RoundRobin,
-        NativePlacement::IndexVectorPartitioned { parts: 4 },
-        NativePlacement::PhysicallyPartitioned { parts: 4 },
+        PlacementStrategy::RoundRobin,
+        PlacementStrategy::IndexVectorPartitioned { parts: 4 },
+        PlacementStrategy::PhysicallyPartitioned { parts: 4 },
     ] {
         for strategy in SchedulingStrategy::ALL {
             let session = SessionManager::new(NativeEngine::with_config(
@@ -157,7 +157,7 @@ fn adaptive_session() -> SessionManager {
         &topology(),
         NativeEngineConfig {
             strategy: SchedulingStrategy::Target,
-            placement: NativePlacement::RoundRobin,
+            placement: PlacementStrategy::RoundRobin,
             steal_throttle: Some(StealThrottleConfig::calibrated(
                 topology().socket.local_bandwidth_gibs,
             )),

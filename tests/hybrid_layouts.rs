@@ -17,7 +17,7 @@ mod common;
 
 use common::paired_medians;
 use numascan::core::{
-    AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, NativePlacement, PlacerAction,
+    AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, PlacementStrategy, PlacerAction,
     ScanRequest, SessionManager,
 };
 use numascan::numasim::Topology;
@@ -113,7 +113,7 @@ fn workload_shift_replay_relayouts_the_cold_column_with_exact_results() {
         &Topology::four_socket_ivybridge_ex(),
         NativeEngineConfig {
             strategy: SchedulingStrategy::Bound,
-            placement: NativePlacement::IndexVectorPartitioned { parts: 4 },
+            placement: PlacementStrategy::IndexVectorPartitioned { parts: 4 },
             ..Default::default()
         },
     ));
@@ -165,7 +165,7 @@ fn workload_shift_replay_relayouts_the_cold_column_with_exact_results() {
         &Topology::four_socket_ivybridge_ex(),
         NativeEngineConfig {
             strategy: SchedulingStrategy::Bound,
-            placement: NativePlacement::IndexVectorPartitioned { parts: 4 },
+            placement: PlacementStrategy::IndexVectorPartitioned { parts: 4 },
             ..Default::default()
         },
     ));

@@ -168,7 +168,7 @@ fn claim_tpch_q1_q6_are_exact_across_placements_paths_and_layouts() {
     // placement {RR, IVP, PP}, both scan paths {private, shared}, and both
     // index-vector layouts {BitPacked, RLE}.
     use numascan::core::{
-        oracle_aggregate, NativeEngine, NativeEngineConfig, NativePlacement, SessionManager,
+        oracle_aggregate, NativeEngine, NativeEngineConfig, PlacementStrategy, SessionManager,
         SharedScanConfig, SharedScanMode,
     };
     use numascan::numasim::Topology;
@@ -178,9 +178,9 @@ fn claim_tpch_q1_q6_are_exact_across_placements_paths_and_layouts() {
     let rows = 48_000usize;
     let table = lineitem_table(rows, 0xA11CE);
     let placements = [
-        ("RR", NativePlacement::RoundRobin),
-        ("IVP4", NativePlacement::IndexVectorPartitioned { parts: 4 }),
-        ("PP4", NativePlacement::PhysicallyPartitioned { parts: 4 }),
+        ("RR", PlacementStrategy::RoundRobin),
+        ("IVP4", PlacementStrategy::IndexVectorPartitioned { parts: 4 }),
+        ("PP4", PlacementStrategy::PhysicallyPartitioned { parts: 4 }),
     ];
     for (query, request) in [("Q1", q1_request()), ("Q6", q6_request())] {
         let spec = request.agg.as_ref().expect("an aggregation statement");

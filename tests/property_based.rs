@@ -777,15 +777,15 @@ proptest! {
         ),
     ) {
         use numascan::core::{
-            NativeEngine, NativeEngineConfig, NativePlacement, ScanRequest, SessionManager,
+            NativeEngine, NativeEngineConfig, PlacementStrategy, ScanRequest, SessionManager,
             SharedScanConfig, SharedScanMode,
         };
         use numascan::workload::small_real_table;
 
         let placement = match placement_pick {
-            0 => NativePlacement::RoundRobin,
-            1 => NativePlacement::IndexVectorPartitioned { parts: 3 },
-            _ => NativePlacement::PhysicallyPartitioned { parts: 4 },
+            0 => PlacementStrategy::RoundRobin,
+            1 => PlacementStrategy::IndexVectorPartitioned { parts: 3 },
+            _ => PlacementStrategy::PhysicallyPartitioned { parts: 4 },
         };
         let session = SessionManager::new(NativeEngine::with_config(
             small_real_table(rows, 2, seed),
@@ -1236,7 +1236,7 @@ proptest! {
     ) {
         use numascan::core::{
             oracle_aggregate, AggFunc, AggSpec, EngineError, NativeEngine, NativeEngineConfig,
-            NativePlacement, ScanRequest, SessionManager, SharedScanConfig, SharedScanMode,
+            PlacementStrategy, ScanRequest, SessionManager, SharedScanConfig, SharedScanMode,
         };
         use numascan::storage::{ColumnId, TableBuilder};
 
@@ -1284,9 +1284,9 @@ proptest! {
         let request = scan.clone().with_aggregate(spec.clone());
 
         let placement = match placement_pick {
-            0 => NativePlacement::RoundRobin,
-            1 => NativePlacement::IndexVectorPartitioned { parts: 3 },
-            _ => NativePlacement::PhysicallyPartitioned { parts: 4 },
+            0 => PlacementStrategy::RoundRobin,
+            1 => PlacementStrategy::IndexVectorPartitioned { parts: 3 },
+            _ => PlacementStrategy::PhysicallyPartitioned { parts: 4 },
         };
         let mode = if shared { SharedScanMode::Always } else { SharedScanMode::Off };
         let session = SessionManager::new(NativeEngine::with_config(

@@ -22,7 +22,7 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use numascan::core::{
-    NativeEngine, NativeEngineConfig, NativePlacement, ScanRequest, ScanSpec, SessionManager,
+    NativeEngine, NativeEngineConfig, PlacementStrategy, ScanRequest, ScanSpec, SessionManager,
     SharedScanConfig, SharedScanMode,
 };
 use numascan::numasim::Topology;
@@ -30,7 +30,7 @@ use numascan::workload::small_real_table;
 
 const DATA_SEED: u64 = 0x5CA9;
 
-fn session(rows: usize, placement: NativePlacement, mode: SharedScanMode) -> SessionManager {
+fn session(rows: usize, placement: PlacementStrategy, mode: SharedScanMode) -> SessionManager {
     SessionManager::new(NativeEngine::with_config(
         small_real_table(rows, 2, DATA_SEED),
         &Topology::four_socket_ivybridge_ex(),
@@ -87,9 +87,9 @@ fn request(client: usize, query: usize) -> ScanRequest {
 #[test]
 fn shared_results_match_the_oracle_across_placements() {
     for placement in [
-        NativePlacement::RoundRobin,
-        NativePlacement::IndexVectorPartitioned { parts: 4 },
-        NativePlacement::PhysicallyPartitioned { parts: 4 },
+        PlacementStrategy::RoundRobin,
+        PlacementStrategy::IndexVectorPartitioned { parts: 4 },
+        PlacementStrategy::PhysicallyPartitioned { parts: 4 },
     ] {
         let session = session(24_000, placement, SharedScanMode::Always);
         let barrier = Barrier::new(8);
@@ -151,7 +151,7 @@ fn pruned_and_rle_parts_share_sweeps_exactly() {
         table,
         &Topology::four_socket_ivybridge_ex(),
         NativeEngineConfig {
-            placement: NativePlacement::IndexVectorPartitioned { parts: 4 },
+            placement: PlacementStrategy::IndexVectorPartitioned { parts: 4 },
             shared_scans: SharedScanConfig { mode: SharedScanMode::Always, chunk_rows: 1024 },
             ..Default::default()
         },
@@ -210,7 +210,7 @@ fn sharing_mode_routes_statements_as_documented() {
         (SharedScanMode::Auto, false),
         (SharedScanMode::Always, true),
     ] {
-        let session = session(10_000, NativePlacement::RoundRobin, mode);
+        let session = session(10_000, PlacementStrategy::RoundRobin, mode);
         let expected = oracle(&session, &request);
         let got = session.execute_rows(&request).expect("known column");
         assert_eq!(got, expected, "{mode:?}");
@@ -229,7 +229,7 @@ fn tiny_chunks_with_staggered_clients_stay_exact() {
         small_real_table(20_000, 2, DATA_SEED),
         &Topology::four_socket_ivybridge_ex(),
         NativeEngineConfig {
-            placement: NativePlacement::RoundRobin,
+            placement: PlacementStrategy::RoundRobin,
             shared_scans: SharedScanConfig { mode: SharedScanMode::Always, chunk_rows: 512 },
             ..Default::default()
         },
@@ -278,7 +278,7 @@ fn gate_replay(
     mode: SharedScanMode,
     oracles: &HashMap<(i64, i64), Vec<i64>>,
 ) -> (f64, SessionManager) {
-    let session = session(GATE_ROWS, NativePlacement::RoundRobin, mode);
+    let session = session(GATE_ROWS, PlacementStrategy::RoundRobin, mode);
     let barrier = Barrier::new(GATE_CLIENTS);
     let started = Instant::now();
     std::thread::scope(|scope| {
@@ -321,7 +321,7 @@ fn gate_bounds(client: usize, query: usize) -> (i64, i64) {
 fn shared_scans_reach_4x_aggregate_throughput_at_256_clients() {
     // Precompute the oracle once per distinct request off one throwaway
     // session (the data is seeded, so every session sees the same table).
-    let reference = session(GATE_ROWS, NativePlacement::RoundRobin, SharedScanMode::Off);
+    let reference = session(GATE_ROWS, PlacementStrategy::RoundRobin, SharedScanMode::Off);
     let mut oracles: HashMap<(i64, i64), Vec<i64>> = HashMap::new();
     for client in 0..GATE_CLIENTS {
         for query in 0..GATE_QUERIES {
