@@ -217,15 +217,6 @@ impl SessionManager {
         self.engine.execute(request, active)
     }
 
-    /// [`SessionManager::execute`] for plain scans: unwraps the row payload.
-    ///
-    /// # Panics
-    /// Panics if `request` carries an [`AggSpec`] — use `execute` for those.
-    pub fn execute_rows(&self, request: &ScanRequest) -> Result<Vec<i64>, EngineError> {
-        assert!(request.agg.is_none(), "execute_rows on an aggregate request");
-        self.execute(request).map(QueryResult::into_rows)
-    }
-
     /// Counters of the engine's cooperative shared-scan executor.
     pub fn shared_scan_stats(&self) -> crate::shared::SharedScanStats {
         self.engine.shared_scan_stats()
@@ -284,7 +275,7 @@ mod tests {
     #[test]
     fn sequential_statements_match_a_reference_filter() {
         let s = session(20_000);
-        let got = s.execute_rows(&ScanRequest::between("v", 10, 49)).unwrap();
+        let got = s.execute(&ScanRequest::between("v", 10, 49)).unwrap().into_rows();
         let expected: Vec<i64> =
             (0..20_000i64).map(|i| (i * 31) % 500).filter(|v| (10..=49).contains(v)).collect();
         assert_eq!(got, expected);
@@ -297,7 +288,7 @@ mod tests {
     fn unknown_columns_fail_typed_and_do_not_leak_active_statements() {
         let s = session(1_000);
         assert_eq!(
-            s.execute_rows(&ScanRequest::between("nope", 0, 1)),
+            s.execute(&ScanRequest::between("nope", 0, 1)),
             Err(EngineError::UnknownColumn("nope".into()))
         );
         assert_eq!(s.active_statements(), 0);
@@ -315,7 +306,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..5i64 {
                         let lo = (c as i64 * 20 + i) % 400;
-                        s.execute_rows(&ScanRequest::between("v", lo, lo + 60)).unwrap();
+                        s.execute(&ScanRequest::between("v", lo, lo + 60)).unwrap().into_rows();
                         if s.active_statements() > 1 {
                             saw.store(true, Ordering::Relaxed);
                         }
@@ -334,7 +325,7 @@ mod tests {
         assert_eq!(r.column(), "v");
         assert_eq!(r.predicate(), Predicate::InList(vec![1, 2, 3]));
         let s = session(10_000);
-        let got = s.execute_rows(&r).unwrap();
+        let got = s.execute(&r).unwrap().into_rows();
         let expected: Vec<i64> =
             (0..10_000i64).map(|i| (i * 31) % 500).filter(|v| [1, 2, 3].contains(v)).collect();
         assert_eq!(got, expected);
@@ -347,11 +338,11 @@ mod tests {
         // A zero deadline has expired by the first latch check; the private
         // path must cancel its outstanding tasks and return immediately.
         let r = ScanRequest::between("v", 0, 499).with_deadline(Duration::ZERO);
-        assert_eq!(s.execute_rows(&r), Err(EngineError::DeadlineExceeded));
+        assert_eq!(s.execute(&r), Err(EngineError::DeadlineExceeded));
         assert_eq!(s.active_statements(), 0);
         // The engine stays fully usable afterwards; dropped tasks released
         // their latch through the guard.
-        let got = s.execute_rows(&ScanRequest::between("v", 10, 49)).unwrap();
+        let got = s.execute(&ScanRequest::between("v", 10, 49)).unwrap().into_rows();
         let expected: Vec<i64> =
             (0..200_000i64).map(|i| (i * 31) % 500).filter(|v| (10..=49).contains(v)).collect();
         assert_eq!(got, expected);
@@ -373,11 +364,11 @@ mod tests {
             },
         ));
         let r = ScanRequest::between("v", 0, 499).with_deadline(Duration::ZERO);
-        assert_eq!(s.execute_rows(&r), Err(EngineError::DeadlineExceeded));
+        assert_eq!(s.execute(&r), Err(EngineError::DeadlineExceeded));
         // A later statement over the same column must still be served in
         // full: the expired attachment is purged at a chunk boundary without
         // corrupting the sweep's refcounts.
-        let got = s.execute_rows(&ScanRequest::between("v", 10, 49)).unwrap();
+        let got = s.execute(&ScanRequest::between("v", 10, 49)).unwrap().into_rows();
         let expected: Vec<i64> =
             (0..300_000i64).map(|i| (i * 31) % 500).filter(|v| (10..=49).contains(v)).collect();
         assert_eq!(got, expected);
@@ -387,10 +378,11 @@ mod tests {
     #[test]
     fn generous_deadlines_do_not_change_results() {
         let s = session(20_000);
-        let plain = s.execute_rows(&ScanRequest::between("v", 10, 49)).unwrap();
+        let plain = s.execute(&ScanRequest::between("v", 10, 49)).unwrap().into_rows();
         let with_deadline = s
-            .execute_rows(&ScanRequest::between("v", 10, 49).with_deadline(Duration::from_secs(60)))
-            .unwrap();
+            .execute(&ScanRequest::between("v", 10, 49).with_deadline(Duration::from_secs(60)))
+            .unwrap()
+            .into_rows();
         assert_eq!(plain, with_deadline);
         s.shutdown();
     }

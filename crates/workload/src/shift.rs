@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use numascan_core::{AdaptiveDataPlacer, PlacerAction, ScanRequest, SessionManager};
+use numascan_core::{AdaptiveDataPlacer, PlacerAction, QueryResult, ScanRequest, SessionManager};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -200,7 +200,8 @@ pub fn replay_shift(
                     scope.spawn(move || {
                         for request in &requests {
                             session
-                                .execute_rows(request)
+                                .execute(request)
+                                .map(QueryResult::into_rows)
                                 .unwrap_or_else(|e| panic!("{e} in {request:?}"));
                         }
                     });

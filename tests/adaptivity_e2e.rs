@@ -88,7 +88,7 @@ fn assert_matches_oracle(session: &SessionManager, clients: usize, context: &str
                     client_script(client)
                         .into_iter()
                         .map(|request| {
-                            let got = session.execute_rows(&request).expect("known column");
+                            let got = session.execute(&request).expect("known column").into_rows();
                             (request, got)
                         })
                         .collect::<Vec<_>>()

@@ -231,7 +231,7 @@ fn zero_fault_single_worker_overhead_is_within_ten_percent() {
         let started = std::time::Instant::now();
         direct_rows = 0;
         for request in &requests {
-            direct_rows += session.execute_rows(request).expect("known column").len();
+            direct_rows += session.execute(request).expect("known column").into_rows().len();
         }
         direct = direct.min(started.elapsed().as_secs_f64());
     }

@@ -18,7 +18,7 @@ mod common;
 use common::paired_medians;
 use numascan::core::{
     AdaptiveDataPlacer, NativeEngine, NativeEngineConfig, PlacementStrategy, PlacerAction,
-    ScanRequest, SessionManager,
+    QueryResult, ScanRequest, SessionManager,
 };
 use numascan::numasim::Topology;
 use numascan::scheduler::SchedulingStrategy;
@@ -121,7 +121,7 @@ fn workload_shift_replay_relayouts_the_cold_column_with_exact_results() {
         values.iter().copied().filter(|v| (lo..=hi).contains(v)).collect()
     };
     assert_eq!(
-        session.execute_rows(&ScanRequest::between("cold", 100, 260)),
+        session.execute(&ScanRequest::between("cold", 100, 260)).map(QueryResult::into_rows),
         Ok(oracle(&cold, 100, 260)),
         "pre-shift scan disagrees with the reference filter"
     );
@@ -180,12 +180,12 @@ fn workload_shift_replay_relayouts_the_cold_column_with_exact_results() {
     // Post-shift: the relayouted cold column and the still-bit-packed hot
     // column answer byte-identically to the sequential reference.
     assert_eq!(
-        session.execute_rows(&ScanRequest::between("cold", 100, 260)),
+        session.execute(&ScanRequest::between("cold", 100, 260)).map(QueryResult::into_rows),
         Ok(oracle(&cold, 100, 260)),
         "post-relayout cold scan disagrees with the reference filter"
     );
     assert_eq!(
-        session.execute_rows(&ScanRequest::between("hot", 40, 99)),
+        session.execute(&ScanRequest::between("hot", 40, 99)).map(QueryResult::into_rows),
         Ok(oracle(&hot, 40, 99)),
         "post-shift hot scan disagrees with the reference filter"
     );

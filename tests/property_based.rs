@@ -812,7 +812,7 @@ proptest! {
                             1 => ScanRequest::in_list(column, vec![a, a + 1, a + w, a + 2 * w]),
                             _ => ScanRequest::between(column, a + w, a),
                         };
-                        let got = session.execute_rows(&request).expect("known column");
+                        let got = session.execute(&request).expect("known column").into_rows();
                         (request, got)
                     })
                 })

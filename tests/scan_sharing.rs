@@ -103,7 +103,8 @@ fn shared_results_match_the_oracle_across_placements() {
                         (0..5)
                             .map(|query| {
                                 let request = request(client, query);
-                                let got = session.execute_rows(&request).expect("known column");
+                                let got =
+                                    session.execute(&request).expect("known column").into_rows();
                                 (request, got)
                             })
                             .collect::<Vec<_>>()
@@ -172,7 +173,7 @@ fn pruned_and_rle_parts_share_sweeps_exactly() {
                             // prunes the rest.
                             let lo = ((client * 97 + query * 173) % 440) as i64;
                             let request = ScanRequest::between("v", lo, lo + 35);
-                            let got = session.execute_rows(&request).expect("known column");
+                            let got = session.execute(&request).expect("known column").into_rows();
                             (request, got)
                         })
                         .collect::<Vec<_>>()
@@ -212,7 +213,7 @@ fn sharing_mode_routes_statements_as_documented() {
     ] {
         let session = session(10_000, PlacementStrategy::RoundRobin, mode);
         let expected = oracle(&session, &request);
-        let got = session.execute_rows(&request).expect("known column");
+        let got = session.execute(&request).expect("known column").into_rows();
         assert_eq!(got, expected, "{mode:?}");
         let shared = session.shared_scan_stats();
         assert_eq!(shared.rows_swept > 0, expect_shared, "{mode:?} routed wrongly: {shared:?}");
@@ -243,7 +244,7 @@ fn tiny_chunks_with_staggered_clients_stay_exact() {
                     (0..4)
                         .map(|query| {
                             let request = request(client, query);
-                            let got = session.execute_rows(&request).expect("known column");
+                            let got = session.execute(&request).expect("known column").into_rows();
                             (request, got)
                         })
                         .collect::<Vec<_>>()
@@ -290,7 +291,7 @@ fn gate_replay(
                 for query in 0..GATE_QUERIES {
                     let (lo, hi) = gate_bounds(client, query);
                     let request = ScanRequest::between(GATE_COLUMN, lo, hi);
-                    let got = session.execute_rows(&request).expect("known column");
+                    let got = session.execute(&request).expect("known column").into_rows();
                     let expected = &oracles[&(lo, hi)];
                     assert_eq!(&got, expected, "{mode:?}: diverged for {request:?}");
                 }
