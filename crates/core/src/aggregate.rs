@@ -197,24 +197,6 @@ pub enum AggValue {
     Null,
 }
 
-impl AggValue {
-    /// The integer payload, if any.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            AggValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The float payload, if any.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            AggValue::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
 /// An aggregate result table — the same type serves as the *partial* a task,
 /// socket or shard produces and as the merged final result.
 ///

@@ -139,20 +139,6 @@ impl PlacedColumn {
         self.dict_segments.iter().find(|s| s.rows.contains(&row)).unwrap_or(&self.dict_segments[0])
     }
 
-    /// The index component responsible for a given row, when an index exists.
-    pub fn ix_segment_of_row(&self, row: u64) -> Option<&ComponentSegment> {
-        if self.ix_segments.is_empty() {
-            None
-        } else {
-            Some(
-                self.ix_segments
-                    .iter()
-                    .find(|s| s.rows.contains(&row))
-                    .unwrap_or(&self.ix_segments[0]),
-            )
-        }
-    }
-
     /// All sockets holding at least one IV segment.
     pub fn iv_sockets(&self) -> Vec<SocketId> {
         let mut sockets: Vec<SocketId> = self.iv_segments.iter().map(|s| s.socket).collect();

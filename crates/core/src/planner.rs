@@ -49,13 +49,6 @@ pub struct QueryPlan {
     pub phase2: Vec<PlannedTask>,
 }
 
-impl QueryPlan {
-    /// Total number of tasks over both phases.
-    pub fn task_count(&self) -> usize {
-        self.phase1.len() + self.phase2.len()
-    }
-}
-
 /// The planner: turns a query over a placed column into tasks with affinities.
 #[derive(Debug, Clone)]
 pub struct ScanPlanner {
@@ -67,16 +60,6 @@ impl ScanPlanner {
     /// Creates a planner for a machine described by `topology`.
     pub fn new(topology: &Topology, cost: CostModel) -> Self {
         ScanPlanner { cost, hint: ConcurrencyHint::new(topology.total_contexts()) }
-    }
-
-    /// The planner's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// The planner's concurrency hint.
-    pub fn concurrency_hint(&self) -> &ConcurrencyHint {
-        &self.hint
     }
 
     /// Plans one query.

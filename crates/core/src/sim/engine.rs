@@ -56,20 +56,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// A configuration for `clients` concurrent clients under `strategy`,
-    /// with a query target scaled to the concurrency so that low- and
-    /// high-concurrency points take comparable simulation effort.
-    pub fn for_clients(clients: usize, strategy: SchedulingStrategy) -> Self {
-        SimConfig {
-            strategy,
-            clients,
-            target_queries: ((clients as u64) * 4).clamp(400, 4_000),
-            ..SimConfig::default()
-        }
-    }
-}
-
 /// A task waiting in the queues.
 #[derive(Debug, Clone)]
 struct PendingTask {

@@ -148,13 +148,6 @@ impl SimReport {
         self.scheduler.stolen_cross_socket
     }
 
-    /// Wakeups the scheduler issued on any path (targeted, chained,
-    /// watchdog). In the virtual-time engine a targeted wakeup is a task
-    /// handed to an idle worker; the real-thread pool counts condvar signals.
-    pub fn scheduler_wakeups(&self) -> u64 {
-        self.scheduler.total_wakeups()
-    }
-
     /// Wakeups that found no task to take (see
     /// [`numascan_scheduler::SchedulerStats::false_wakeup_fraction`]).
     pub fn false_wakeup_fraction(&self) -> f64 {

@@ -856,23 +856,9 @@ impl<T> SchedulerCore<T> {
         self.waits.iter().map(|w| w.sleepers).sum()
     }
 
-    /// Outstanding signals across all groups.
-    pub fn total_signals(&self) -> usize {
-        self.waits.iter().map(|w| w.signals).sum()
-    }
-
     /// Whether shutdown was initiated.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown
-    }
-
-    /// The lowest-indexed sleeping worker of `group`, if any (the simulation
-    /// driver wakes deterministically in index order).
-    pub fn sleeping_worker_of_group(&self, group: ThreadGroupId) -> Option<WorkerId> {
-        self.workers
-            .iter()
-            .position(|w| w.group == group && w.state == WorkerState::Sleeping)
-            .map(WorkerId)
     }
 }
 

@@ -262,13 +262,6 @@ impl ThreadPool {
         stats
     }
 
-    /// The bandwidth tracker behind the steal throttle, when one is
-    /// configured. Scan tasks report streamed bytes through it; callers close
-    /// epochs with [`ThreadPool::advance_bandwidth_epoch`].
-    pub fn bandwidth_tracker(&self) -> Option<&Arc<BandwidthTracker>> {
-        self.shared.throttle.as_ref()
-    }
-
     /// Records `bytes` streamed from `socket`'s local memory for the steal
     /// throttle's utilization estimate. A no-op when no throttle is
     /// configured.

@@ -138,17 +138,6 @@ impl ShiftReport {
             .collect()
     }
 
-    /// Mean utilization spread over the epochs of one phase.
-    pub fn phase_mean_spread(&self, phase: usize) -> f64 {
-        let spreads: Vec<f64> =
-            self.epochs.iter().filter(|e| e.phase == phase).map(|e| e.utilization_spread).collect();
-        if spreads.is_empty() {
-            0.0
-        } else {
-            spreads.iter().sum::<f64>() / spreads.len() as f64
-        }
-    }
-
     /// Utilization spread of the replay's final epoch (the post-shift state).
     pub fn final_spread(&self) -> f64 {
         self.epochs.last().map_or(0.0, |e| e.utilization_spread)
