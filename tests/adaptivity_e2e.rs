@@ -20,11 +20,11 @@
 //! heat — and therefore every placer decision — are identical across runs
 //! and thread interleavings.
 
-use std::collections::HashSet;
+mod common;
 
+use common::oracle_rows;
 use numascan::core::{
-    NativeEngine, NativeEngineConfig, PlacementStrategy, PlacerAction, ScanRequest, ScanSpec,
-    SessionManager,
+    NativeEngine, NativeEngineConfig, PlacementStrategy, PlacerAction, ScanRequest, SessionManager,
 };
 use numascan::numasim::Topology;
 use numascan::scheduler::{SchedulingStrategy, StealThrottleConfig};
@@ -41,22 +41,6 @@ fn table() -> Table {
 
 fn topology() -> Topology {
     Topology::four_socket_ivybridge_ex()
-}
-
-/// The single-threaded oracle: a naive filter over the materialized column.
-fn oracle(table: &Table, request: &ScanRequest) -> Vec<i64> {
-    let (_, column) = table.column_by_name(request.column()).expect("oracle column exists");
-    let keep: Box<dyn Fn(i64) -> bool> = match &request.spec {
-        ScanSpec::Between { lo, hi } => {
-            let (lo, hi) = (*lo, *hi);
-            Box::new(move |v| (lo..=hi).contains(&v))
-        }
-        ScanSpec::InList { values } => {
-            let set: HashSet<i64> = values.iter().copied().collect();
-            Box::new(move |v| set.contains(&v))
-        }
-    };
-    (0..column.row_count()).map(|p| *column.value_at(p)).filter(|v| keep(*v)).collect()
 }
 
 /// The deterministic request script of one client: mixed range and IN-list
@@ -97,7 +81,7 @@ fn assert_matches_oracle(session: &SessionManager, clients: usize, context: &str
             .collect();
         for handle in handles {
             for (request, got) in handle.join().expect("client thread panicked") {
-                let expected = oracle(&reference, &request);
+                let expected = oracle_rows(&reference, 0..ROWS, &request);
                 assert_eq!(
                     got, expected,
                     "{context}: concurrent result diverged from the sequential oracle \

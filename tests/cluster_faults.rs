@@ -17,10 +17,11 @@
 //! additionally pins the cost of the tier itself: a one-worker, one-shard
 //! cluster with no faults must stay within 10% of the direct engine.
 
-use std::collections::HashSet;
+mod common;
 
+use common::oracle_rows;
 use numascan::cluster::{Cluster, ClusterConfig, ClusterError, Decision, ScanOutcome, ShardMeta};
-use numascan::core::{NativeEngine, NativeEngineConfig, ScanRequest, ScanSpec, SessionManager};
+use numascan::core::{NativeEngine, NativeEngineConfig, ScanRequest, SessionManager};
 use numascan::storage::Table;
 use numascan::workload::{small_real_table, FaultKind, FaultSchedule};
 
@@ -33,25 +34,9 @@ fn table() -> Table {
     small_real_table(ROWS, 2, DATA_SEED)
 }
 
-/// The sequential oracle restricted to one shard's row range.
-fn shard_oracle(table: &Table, meta: &ShardMeta, request: &ScanRequest) -> Vec<i64> {
-    let (_, column) = table.column_by_name(request.column()).expect("oracle column");
-    let keep: Box<dyn Fn(i64) -> bool> = match &request.spec {
-        ScanSpec::Between { lo, hi } => {
-            let (lo, hi) = (*lo, *hi);
-            Box::new(move |v| (lo..=hi).contains(&v))
-        }
-        ScanSpec::InList { values } => {
-            let set: HashSet<i64> = values.iter().copied().collect();
-            Box::new(move |v| set.contains(&v))
-        }
-    };
-    meta.rows.clone().map(|p| *column.value_at(p)).filter(|v| keep(*v)).collect()
-}
-
 /// The full-table oracle: concatenation of every shard's restriction.
 fn oracle(table: &Table, shards: &[ShardMeta], request: &ScanRequest) -> Vec<i64> {
-    shards.iter().flat_map(|meta| shard_oracle(table, meta, request)).collect()
+    shards.iter().flat_map(|meta| oracle_rows(table, meta.rows.clone(), request)).collect()
 }
 
 /// The mixed request script every matrix cell replays.
@@ -101,7 +86,7 @@ fn run_cell(kind: FaultKind, replication: usize, seed: u64) -> Vec<Vec<Decision>
                     .iter()
                     .enumerate()
                     .filter(|(shard, _)| !missing_shards.contains(shard))
-                    .flat_map(|(_, meta)| shard_oracle(&base, meta, &request))
+                    .flat_map(|(_, meta)| oracle_rows(&base, meta.rows.clone(), &request))
                     .collect();
                 assert_eq!(
                     rows, expected,

@@ -21,8 +21,11 @@ use std::collections::HashMap;
 use std::sync::Barrier;
 use std::time::Instant;
 
+mod common;
+
+use common::oracle_rows;
 use numascan::core::{
-    NativeEngine, NativeEngineConfig, PlacementStrategy, ScanRequest, ScanSpec, SessionManager,
+    NativeEngine, NativeEngineConfig, PlacementStrategy, ScanRequest, SessionManager,
     SharedScanConfig, SharedScanMode,
 };
 use numascan::numasim::Topology;
@@ -42,21 +45,10 @@ fn session(rows: usize, placement: PlacementStrategy, mode: SharedScanMode) -> S
     ))
 }
 
-/// The sequential oracle: a naive filter over the materialized column.
+/// The sequential oracle over the session's whole table.
 fn oracle(session: &SessionManager, request: &ScanRequest) -> Vec<i64> {
     let table = session.engine().table();
-    let (_, column) = table.column_by_name(request.column()).expect("oracle column exists");
-    let keep: Box<dyn Fn(i64) -> bool> = match &request.spec {
-        ScanSpec::Between { lo, hi } => {
-            let (lo, hi) = (*lo, *hi);
-            Box::new(move |v| (lo..=hi).contains(&v))
-        }
-        ScanSpec::InList { values } => {
-            let set: std::collections::HashSet<i64> = values.iter().copied().collect();
-            Box::new(move |v| set.contains(&v))
-        }
-    };
-    (0..column.row_count()).map(|p| *column.value_at(p)).filter(|v| keep(*v)).collect()
+    oracle_rows(table, 0..table.row_count(), request)
 }
 
 /// Mixed requests over both columns: ranges, IN-lists, and an occasional
