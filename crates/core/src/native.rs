@@ -16,8 +16,10 @@
 //!    concurrency-hint-many private tasks *aligned to the placement* (each
 //!    task's range falls wholly inside one part and carries the affinity of
 //!    its part's socket, Section 5.2), or, once the hint stops granting
-//!    intra-statement parallelism, attach to each part's cooperative shared
-//!    sweep ([`crate::shared`]);
+//!    intra-statement parallelism, attach the same parts to their
+//!    cooperative shared sweeps ([`crate::shared`]); either way the
+//!    statement waits on one collector, which returns the outputs sorted by
+//!    key, or fails typed when the deadline expires;
 //! 3. **sink** — materialize the qualifying values in row order, or fold
 //!    them into dense partial aggregation tables; private outputs reduce in
 //!    chunk order, shared chunks fold in global row order.
@@ -70,8 +72,7 @@ use crate::placement::PlacementStrategy;
 use crate::query::ColumnRef;
 use crate::session::{QueryResult, ScanRequest};
 use crate::shared::{
-    ChunkRef, PartAttachSpec, SharedCollector, SharedScanConfig, SharedScanMode,
-    SharedScanRegistry, SharedScanStats, SweepKey,
+    ChunkRef, SharedScanConfig, SharedScanMode, SharedScanRegistry, SharedScanStats, SweepKey,
 };
 
 /// Configuration of a [`NativeEngine`].
@@ -139,47 +140,47 @@ impl ColumnPlacement {
     }
 }
 
-/// One placement part that survived planning: everything a private task or
-/// a shared attachment needs, computed once per statement.
-struct PlannedPart {
-    /// Index of the part in the column's placement (keys its shared sweep).
-    index: usize,
+/// One placement part that survived planning: the only description of a part
+/// either execution path uses — private tasks scan it, and a shared sweep
+/// takes its geometry from the first statement's copy — computed once per
+/// statement.
+pub(crate) struct PlannedPart {
+    /// The part's shared sweep: (column, placement generation, index of the
+    /// part in the column's placement).
+    pub(crate) key: SweepKey,
     /// The socket whose memory holds the part.
-    socket: SocketId,
-    /// Global row range of the base table the part covers.
-    rows: Range<usize>,
+    pub(crate) socket: SocketId,
+    /// Global row range of the base table the part covers (never empty).
+    pub(crate) rows: Range<usize>,
     /// The filter column.
-    column_id: ColumnId,
+    pub(crate) column_id: ColumnId,
     /// The physically rebuilt part column, if any (`None` = base column).
-    data: Option<Arc<DictColumn<i64>>>,
+    pub(crate) data: Option<Arc<DictColumn<i64>>>,
     /// `rows.start` in the scanned column's coordinates: the global start for
     /// base-column parts, 0 for rebuilt parts.
-    local_base: usize,
+    pub(crate) local_base: usize,
     /// Encoded once per part (PP parts carry their own dictionaries) and
-    /// shared by every task and attachment — an IN-list's vid payload is
-    /// never deep-cloned per task.
-    encoded: Arc<EncodedPredicate>,
+    /// shared, with the part, by every task and attachment — an IN-list's
+    /// vid payload is never deep-cloned per task.
+    pub(crate) encoded: EncodedPredicate,
     /// Index-vector bytes of one full pass over the part.
-    bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl PlannedPart {
     /// The column the part scans.
-    fn column<'a>(&'a self, table: &'a Table) -> &'a DictColumn<i64> {
+    pub(crate) fn column<'a>(&'a self, table: &'a Table) -> &'a DictColumn<i64> {
         self.data.as_deref().unwrap_or_else(|| table.column(self.column_id))
     }
 
     /// What to add to a scanned position to reach the global base-table row.
-    fn row_offset(&self) -> usize {
+    pub(crate) fn row_offset(&self) -> usize {
         self.rows.start - self.local_base
     }
 }
 
 /// One statement's plan, consumed by either execution path.
 struct PartPlan {
-    column_id: ColumnId,
-    /// Placement generation of the snapshot the parts come from.
-    generation: u64,
     /// The statement's scheduling epoch (task priorities order by it).
     epoch: u64,
     /// Parts in the placement snapshot, pruned or not: routing and task
@@ -237,11 +238,13 @@ impl Sink for RowSink {
         materialize_positions(column, &positions)
     }
 
-    fn fold(&self, _table: &Table, chunks: &[ChunkRef]) -> Vec<i64> {
+    fn fold(&self, table: &Table, chunks: &[ChunkRef]) -> Vec<i64> {
         // Ascending positions make each chunk's share a prefix cut.
         chunks
             .iter()
-            .flat_map(|chunk| materialize_positions(chunk.column(), chunk.served_positions()))
+            .flat_map(|chunk| {
+                materialize_positions(chunk.part.column(table), chunk.served_positions())
+            })
             .collect()
     }
 
@@ -268,7 +271,7 @@ impl Sink for AggTarget {
         let (value, group) = (table.column(self.value), self.group.map(|g| table.column(g)));
         let mut acc = GroupAccumulator::new(self.capacity);
         for chunk in chunks {
-            let reader = RowReader::new(value, group, chunk.global_row_offset());
+            let reader = RowReader::new(value, group, chunk.part.row_offset());
             accumulate_positions(chunk.served_positions(), &reader, &mut acc);
         }
         acc
@@ -343,58 +346,98 @@ impl NativeEpoch {
     }
 }
 
-/// Counts one statement's outstanding work items — private tasks, or the
-/// parts a shared statement is attached to; the issuing thread blocks until
-/// every item has finished, without waiting on unrelated statements the pool
-/// may be running concurrently (unlike `ThreadPool::wait_idle`).
-pub(crate) struct StatementLatch {
-    remaining: Mutex<usize>,
+/// How a statement waits, on either execution path: a count of outstanding
+/// work items, the `(key, item)` outputs they deliver, and the statement's
+/// cancellation token. Private tasks deliver one output each, keyed by
+/// chunk index; shared sweeps deliver [`ChunkRef`]s keyed by global chunk
+/// start and finish one item per attached part. The issuing thread blocks
+/// on this statement alone, never on unrelated statements the pool runs
+/// concurrently (unlike `ThreadPool::wait_idle`).
+pub(crate) struct Collector<T> {
+    state: Mutex<CollectorState<T>>,
     done: Condvar,
+    /// Cancelled once the waiter is gone (deadline expiry):
+    /// queued private tasks are dropped at pickup, and sweeps purge the
+    /// statement's attachments at their next chunk boundary.
+    pub(crate) token: CancellationToken,
 }
 
-impl StatementLatch {
+struct CollectorState<T> {
+    /// Work items not yet finished.
+    remaining: usize,
+    items: Vec<(usize, T)>,
+}
+
+impl<T> Collector<T> {
+    /// A collector waiting on `items` work items.
     pub(crate) fn new(items: usize) -> Self {
-        StatementLatch { remaining: Mutex::new(items), done: Condvar::new() }
+        Collector {
+            state: Mutex::new(CollectorState { remaining: items, items: Vec::new() }),
+            done: Condvar::new(),
+            token: CancellationToken::new(),
+        }
     }
 
-    pub(crate) fn count_down(&self) {
-        let mut remaining = self.remaining.lock();
-        *remaining -= 1;
-        if *remaining == 0 {
+    /// Delivers one output. Keys are unique per statement.
+    pub(crate) fn push(&self, key: usize, item: T) {
+        self.state.lock().items.push((key, item));
+    }
+
+    /// Marks one work item finished.
+    pub(crate) fn finish(&self) {
+        let mut state = self.state.lock();
+        state.remaining -= 1;
+        if state.remaining == 0 {
             self.done.notify_all();
         }
     }
 
-    /// Blocks until every item finished, giving up at `deadline` if one is
-    /// set. Returns whether every item finished (`false` = the deadline
-    /// expired first).
-    pub(crate) fn wait_until(&self, deadline: Option<Instant>) -> bool {
-        let mut remaining = self.remaining.lock();
-        while *remaining > 0 {
+    /// Blocks until every item finished or the optional absolute deadline
+    /// expired, and returns the outputs sorted by key. An expired deadline
+    /// answers [`EngineError::DeadlineExceeded`] and cancels the token, so
+    /// the statement's outstanding work stops at its next chunk boundary.
+    pub(crate) fn wait(&self, deadline: Option<Instant>) -> Result<Vec<T>, EngineError> {
+        let mut state = self.state.lock();
+        let error = loop {
+            if state.remaining == 0 {
+                let mut items = std::mem::take(&mut state.items);
+                items.sort_unstable_by_key(|(key, _)| *key);
+                return Ok(items.into_iter().map(|(_, item)| item).collect());
+            }
             match deadline {
-                None => self.done.wait(&mut remaining),
+                None => self.done.wait(&mut state),
+                Some(deadline) if Instant::now() >= deadline => {
+                    break EngineError::DeadlineExceeded
+                }
                 Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return false;
-                    }
-                    self.done.wait_for(&mut remaining, deadline - now);
+                    self.done.wait_for(&mut state, deadline - Instant::now());
                 }
             }
-        }
-        true
+        };
+        self.token.cancel();
+        Err(error)
     }
 }
 
-/// Counts a task's latch down when the task finishes *or unwinds*: the pool
-/// catches task panics to stay usable, so losing the decrement to an unwind
-/// would leave the issuing client blocked in [`StatementLatch::wait_until`]
-/// forever.
-struct LatchGuard(Arc<StatementLatch>);
+/// One work item's claim on its statement's collector — a private task, or
+/// a statement's attachment to one part's sweep. Dropping it finishes the
+/// item: a task cancelled unrun or unwound (the pool catches task panics to
+/// stay usable) still counts the statement down, so the waiter never
+/// blocks forever.
+pub(crate) struct Item<T> {
+    pub(crate) collector: Arc<Collector<T>>,
+}
 
-impl Drop for LatchGuard {
+impl<T> Item<T> {
+    /// Delivers a private task's one output under `key` and finishes it.
+    fn deliver(self, key: usize, output: T) {
+        self.collector.push(key, output);
+    }
+}
+
+impl<T> Drop for Item<T> {
     fn drop(&mut self) {
-        self.0.count_down();
+        self.collector.finish();
     }
 }
 
@@ -546,8 +589,9 @@ impl NativeEngine {
     /// Results are byte-identical on either path.
     ///
     /// The optional deadline is measured from this call and honoured at chunk
-    /// boundaries: on the private path the statement stops waiting and
-    /// cancels its not-yet-started tasks (running chunks finish and are
+    /// boundaries: the statement stops waiting and answers
+    /// [`EngineError::DeadlineExceeded`]. On the private path its
+    /// not-yet-started tasks are cancelled (running chunks finish and are
     /// discarded); on the shared path its attachment is purged from the sweep
     /// at the next chunk boundary, leaving the sweep's refcounts — and every
     /// other attached statement — untouched.
@@ -656,17 +700,17 @@ impl NativeEngine {
             self.telemetry.socket_bytes[part.socket.index()].fetch_add(bytes, Ordering::Relaxed);
             self.telemetry.column_bytes[column_id.index()].fetch_add(bytes, Ordering::Relaxed);
             parts.push(Arc::new(PlannedPart {
-                index,
+                key: SweepKey { column: column_id.index(), generation, part: index },
                 socket: part.socket,
                 rows: part.rows,
                 column_id,
                 data: part.data,
                 local_base,
-                encoded: Arc::new(encoded),
+                encoded,
                 bytes,
             }));
         }
-        Ok(PartPlan { column_id, generation, epoch, placement_parts, parts, target })
+        Ok(PartPlan { epoch, placement_parts, parts, target })
     }
 
     /// Whether a statement at this concurrency level shares sweeps.
@@ -686,8 +730,9 @@ impl NativeEngine {
         }
     }
 
-    /// Routes a planned statement to the private or the shared path and
-    /// reduces what the sink produced there into one output.
+    /// Routes a planned statement to the private or the shared path, waits
+    /// for it on the path's [`Collector`], and reduces what the sink
+    /// produced there into one output.
     fn run<S: Sink>(
         &self,
         plan: &PartPlan,
@@ -696,35 +741,33 @@ impl NativeEngine {
         deadline: Option<Instant>,
     ) -> Result<S::Out, EngineError> {
         if self.should_share(active_statements, plan.placement_parts) {
-            let collector = self.attach_shared(plan);
-            let chunks = collector.wait_raw_until(deadline).ok_or(EngineError::DeadlineExceeded)?;
+            let chunks = self.attach_shared(plan).wait(deadline)?;
             Ok(sink.fold(&self.table, &chunks))
         } else {
             let sink = Arc::new(sink);
-            let outs = self.run_private(plan, &sink, active_statements, deadline)?;
+            let outs = self.run_private(plan, &sink, active_statements).wait(deadline)?;
             Ok(sink.reduce(outs))
         }
     }
 
     /// The private (per-statement) execution path: splits the plan into
-    /// concurrency-hint-many tasks aligned to its parts, submits each with
-    /// its part's socket affinity, and returns the sink's per-task outputs in
-    /// chunk order — which is global row order.
+    /// concurrency-hint-many tasks aligned to its parts and submits each
+    /// with its part's socket affinity. The returned collector yields the
+    /// sink's per-task outputs in chunk order — which is global row order.
     fn run_private<S: Sink>(
         &self,
         plan: &PartPlan,
         sink: &Arc<S>,
         active_statements: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<S::Out>, EngineError> {
+    ) -> Arc<Collector<S::Out>> {
         // Round the suggested task count up to a multiple of the parts so
         // every task's range falls wholly inside one part (Section 5.2).
         let parts = plan.placement_parts;
         let total_tasks = self.hint.suggested_tasks_for_partitions(active_statements, parts);
         let tasks_per_part = (total_tasks / parts.max(1)).max(1);
 
-        // Describe every task up front so the completion latch knows the
-        // exact count before the first task can finish.
+        // Describe every task up front so the collector knows the exact
+        // count before the first task can finish.
         let mut tasks = Vec::new();
         for part in &plan.parts {
             // The steal throttle's bandwidth estimate sees the pass a private
@@ -739,9 +782,7 @@ impl NativeEngine {
             }
         }
 
-        let latch = Arc::new(StatementLatch::new(tasks.len()));
-        let results = Arc::new(Mutex::new(Vec::with_capacity(tasks.len())));
-        let token = CancellationToken::new();
+        let collector = Arc::new(Collector::new(tasks.len()));
         for (chunk, (part, rows)) in tasks.into_iter().enumerate() {
             let meta = TaskMeta {
                 affinity: Some(part.socket),
@@ -750,69 +791,40 @@ impl NativeEngine {
                 work_class: WorkClass::MemoryIntensive,
                 estimated_bytes: part.column(&self.table).iv_scan_bytes(rows.len()) as f64,
             };
-            let (table, sink, results) =
-                (Arc::clone(&self.table), Arc::clone(sink), Arc::clone(&results));
+            let (table, sink) = (Arc::clone(&self.table), Arc::clone(sink));
             // Moved *into* the closure (not created inside it): a cancelled
-            // task's closure is dropped unrun, and the guard's drop still
-            // counts the latch down, so an expired statement never wedges.
-            let count_down = LatchGuard(Arc::clone(&latch));
-            self.pool.submit_cancellable(meta, token.clone(), move || {
-                let _count_down = count_down;
-                let out = sink.scan(&table, &part, rows);
-                results.lock().push((chunk, out));
+            // task's closure is dropped unrun and a panicking one unwinds,
+            // and either way the item's drop still finishes it.
+            let item = Item { collector: Arc::clone(&collector) };
+            self.pool.submit_cancellable(meta, collector.token.clone(), move || {
+                item.deliver(chunk, sink.scan(&table, &part, rows));
             });
         }
-        if !latch.wait_until(deadline) {
-            // Queued tasks are dropped at pickup; tasks already running
-            // finish into `results` (kept alive by their `Arc`) and are
-            // discarded with it.
-            token.cancel();
-            return Err(EngineError::DeadlineExceeded);
-        }
-        // Every task pushed before counting down, so the list is complete.
-        let mut outs = std::mem::take(&mut *results.lock());
-        outs.sort_by_key(|(chunk, _)| *chunk);
-        Ok(outs.into_iter().map(|(_, out)| out).collect())
+        collector
     }
 
-    /// The cooperative execution path: attaches the statement to the shared
-    /// sweep of each planned part — registering the sweep, and submitting the
-    /// one pool task that runs it, only where none is in flight — and returns
-    /// the collector the statement waits on. The sweep is oblivious to what
-    /// its waiters do with the served chunk streams, so scans and aggregates
-    /// share it alike.
+    /// The cooperative execution path: attaches the statement's planned
+    /// parts to their shared sweeps — registering a sweep, and submitting
+    /// the one pool task that runs it, only where none is in flight — and
+    /// returns the collector the statement waits on, one item per part. The
+    /// sweep is oblivious to what its waiters do with the served chunk
+    /// streams, so scans and aggregates share it alike.
     ///
     /// The plan already recorded demand-side telemetry (one pass per
     /// statement per part); the *actual* streamed bytes are tracked in
     /// [`SharedScanStats::bytes_swept`], and the steal throttle's bandwidth
     /// estimate is fed one pass per started sweep (the attached statements
     /// add no traffic).
-    fn attach_shared(&self, plan: &PartPlan) -> Arc<SharedCollector> {
-        let collector = Arc::new(SharedCollector::new(plan.parts.len()));
+    fn attach_shared(&self, plan: &PartPlan) -> Arc<Collector<ChunkRef>> {
+        let collector = Arc::new(Collector::new(plan.parts.len()));
         for part in &plan.parts {
-            let spec = PartAttachSpec {
-                key: SweepKey {
-                    column: plan.column_id.index(),
-                    generation: plan.generation,
-                    part: part.index,
-                },
-                socket: part.socket,
-                global_base: part.rows.start,
-                local_base: part.local_base,
-                len: part.rows.len(),
-                pass_bytes: part.bytes,
-                table: Arc::clone(&self.table),
-                column_id: plan.column_id,
-                data: part.data.clone(),
-            };
-            let encoded = Arc::clone(&part.encoded);
-            if let Some(ticket) = self.shared.attach(spec, encoded, Arc::clone(&collector)) {
+            if let Some(ticket) = self.shared.attach(&self.table, part, &collector) {
                 self.pool.record_scanned_bytes(part.socket, part.bytes);
                 let registry = Arc::clone(&self.shared);
                 let meta = TaskMeta {
                     affinity: Some(part.socket),
                     hard_affinity: false,
-                    priority: TaskPriority::new(plan.epoch, part.index as u64),
+                    priority: TaskPriority::new(plan.epoch, part.key.part as u64),
                     work_class: WorkClass::MemoryIntensive,
                     estimated_bytes: part.bytes as f64,
                 };

@@ -7,7 +7,11 @@
 //! referenced in PAPERS.md ("From Cooperative Scans to Predictive Buffer
 //! Management"): keep one circular **sweep** per (column, placement
 //! generation, part) in flight and let every new statement *attach* to it
-//! instead of starting its own.
+//! instead of starting its own. Sharing is a policy of the engine's one scan
+//! operator, not a second code path: a statement attaches the same planned
+//! parts (`PlannedPart`) its private tasks would scan, and waits on the
+//! same `Collector` — one item per attached part, chunk outputs keyed by
+//! global chunk start.
 //!
 //! The protocol, per part:
 //!
@@ -23,9 +27,11 @@
 //!   batched SWAR kernel ([`numascan_storage::scan_positions_batch`]): the
 //!   packed words are read from memory once regardless of how many queries
 //!   are attached;
-//! * a query detaches when it has been served the full part; when the last
-//!   query detaches and no new one is pending at the chunk boundary, the
-//!   sweep closes and removes itself from the registry.
+//! * a query detaches when it has been served the full part (finishing its
+//!   collector item), or at a chunk boundary once its collector's token is
+//!   cancelled (its waiter gave up); when the last query detaches and no new
+//!   one is pending at the chunk boundary, the sweep closes and removes
+//!   itself from the registry.
 //!
 //! Because activation happens only at chunk boundaries, an active query's
 //! next unserved row always equals the sweep cursor, so per-query trimming
@@ -41,15 +47,14 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use numascan_numasim::SocketId;
-use numascan_storage::{scan_positions_batch, ColumnId, DictColumn, EncodedPredicate, Table};
+use numascan_storage::{scan_positions_batch, EncodedPredicate, Table};
 use parking_lot::Mutex;
 
-use crate::native::StatementLatch;
+use crate::native::{Collector, Item, PlannedPart};
 
 /// When the engine routes a statement through the shared-scan executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,12 +139,11 @@ pub(crate) struct SweepKey {
 /// One chunk's share of a statement's result, deferred: the sweeper hands
 /// out the chunk's match list (shared across every query that asked for it)
 /// and the *client* trims and materializes (or folds) on its own thread
-/// after [`SharedCollector::wait_raw_until`]. The sweeper's per-query cost
-/// per chunk is one `Arc` clone — decode work never serializes behind the
+/// after [`Collector::wait`], reading the scanned column and the global row
+/// offset off its own [`PlannedPart`]. The sweeper's per-query cost per
+/// chunk is two `Arc` clones — decode work never serializes behind the
 /// sweep.
 pub(crate) struct ChunkRef {
-    /// First global row of the chunk (keys the result ordering).
-    global_start: usize,
     /// First column-coordinate row of the chunk (the trim origin).
     scan_lo: usize,
     /// Rows of the chunk this query asked for (a prefix; shorter than the
@@ -148,8 +152,8 @@ pub(crate) struct ChunkRef {
     /// Ascending match positions of the whole chunk, shared by every query
     /// whose predicate collapsed to this kernel lane.
     positions: Arc<Vec<u32>>,
-    /// Keeps the scanned column alive until the client materializes.
-    sweep: Arc<PartSweep>,
+    /// The statement's planned part: the positions index into its column.
+    pub(crate) part: Arc<PlannedPart>,
 }
 
 impl ChunkRef {
@@ -161,112 +165,24 @@ impl ChunkRef {
         let keep = self.positions.partition_point(|&p| p < cut);
         &self.positions[..keep]
     }
-
-    /// The scanned column the positions index into (the physically rebuilt
-    /// part column when there is one, the base column otherwise).
-    pub(crate) fn column(&self) -> &DictColumn<i64> {
-        self.sweep.column()
-    }
-
-    /// What to add to a [`ChunkRef::served_positions`] position to reach the
-    /// global base-table row: zero for base-column sweeps (their coordinates
-    /// *are* global rows), the part's global base for physically rebuilt
-    /// parts (whose coordinates are part-local).
-    pub(crate) fn global_row_offset(&self) -> usize {
-        self.sweep.global_base - self.sweep.local_base
-    }
-}
-
-/// Where one statement's shared results accumulate: chunk references are
-/// pushed tagged with their global row start, and the issuing client blocks
-/// until every attached part has fully served the statement.
-pub(crate) struct SharedCollector {
-    /// Counts the attached parts that have not yet served the statement.
-    latch: StatementLatch,
-    chunks: Mutex<Vec<ChunkRef>>,
-    /// Set when the waiting statement's deadline expired: the waiter is gone,
-    /// so sweeps purge this collector's attachments at their next chunk
-    /// boundary instead of serving (and completing) them.
-    cancelled: AtomicBool,
-}
-
-impl SharedCollector {
-    /// A collector waiting on `parts` per-part completions.
-    pub(crate) fn new(parts: usize) -> Self {
-        SharedCollector {
-            latch: StatementLatch::new(parts),
-            chunks: Mutex::new(Vec::new()),
-            cancelled: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether the waiting statement gave up (deadline expiry).
-    fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::SeqCst)
-    }
-
-    /// Marks the collector abandoned, as deadline expiry does.
-    #[cfg(test)]
-    pub(crate) fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Appends one chunk reference (no-op for chunks with no matches).
-    fn push(&self, chunk: ChunkRef) {
-        if !chunk.positions.is_empty() {
-            self.chunks.lock().push(chunk);
-        }
-    }
-
-    /// Marks one attached part as fully served.
-    fn complete_part(&self) {
-        self.latch.count_down();
-    }
-
-    /// Blocks until every part completed, then materializes the statement's
-    /// values in global row order.
-    #[cfg(test)]
-    pub(crate) fn wait(&self) -> Vec<i64> {
-        let chunks = self.wait_raw_until(None).expect("waits without a deadline cannot expire");
-        chunks
-            .iter()
-            .flat_map(|c| numascan_storage::materialize_positions(c.column(), c.served_positions()))
-            .collect()
-    }
-
-    /// Blocks until every part completed (or the optional absolute deadline
-    /// expired) and returns the served chunk references sorted by global row
-    /// start; the waiter trims, materializes or folds them on its own thread,
-    /// so one sweep serves scan and aggregate statements alike. Returns
-    /// `None` exactly when the deadline expired first; the collector is then
-    /// marked cancelled so every sweep it is attached to purges the
-    /// attachment at its next chunk boundary.
-    pub(crate) fn wait_raw_until(&self, deadline: Option<Instant>) -> Option<Vec<ChunkRef>> {
-        if !self.latch.wait_until(deadline) {
-            self.cancelled.store(true, Ordering::SeqCst);
-            return None;
-        }
-        let mut chunks = std::mem::take(&mut *self.chunks.lock());
-        // Chunk starts are unique per statement (parts partition the row
-        // space and chunks partition each pass), so sorting by start and
-        // concatenating reproduces the sequential scan order exactly.
-        chunks.sort_unstable_by_key(|chunk| chunk.global_start);
-        Some(chunks)
-    }
 }
 
 /// One query attached to a sweep.
 struct Attached {
-    predicate: Arc<EncodedPredicate>,
-    /// Rows served so far (the query detaches at `len`).
+    /// The statement's planned part, carrying its encoded predicate.
+    part: Arc<PlannedPart>,
+    /// Rows served so far (the query detaches at the part's length).
     served: usize,
-    collector: Arc<SharedCollector>,
+    /// The statement's collector item for this part, finished when the
+    /// attachment leaves the sweep: served the whole part, or purged after
+    /// its waiter gave up.
+    item: Item<ChunkRef>,
 }
 
 /// Mutable state of a sweep, guarded by the sweep's own lock (acquired
 /// strictly *after* the registry lock where both are held).
 struct SweepState {
-    /// Next part-local row the sweep will serve; wraps at `len`.
+    /// Next part-local row the sweep will serve; wraps at the part's length.
     cursor: usize,
     /// Queries being served. Only the owning sweeper task mutates this.
     active: Vec<Attached>,
@@ -279,51 +195,12 @@ struct SweepState {
 
 /// One circular sweep over one column part.
 struct PartSweep {
-    key: SweepKey,
-    socket: SocketId,
-    /// First global row of the part (keys the result ordering).
-    global_base: usize,
-    /// Base row in the scanned column's coordinate space: equals
-    /// `global_base` for parts reading the base column, 0 for physically
-    /// rebuilt parts.
-    local_base: usize,
-    /// Rows in the part (always > 0; empty parts are never registered).
-    len: usize,
-    /// Index-vector bytes one full pass streams (relevance scoring).
-    pass_bytes: u64,
     table: Arc<Table>,
-    column_id: ColumnId,
-    /// Physically rebuilt part column, if any.
-    data: Option<Arc<DictColumn<i64>>>,
+    /// The registering statement's part: the sweep's key and geometry
+    /// (socket, rows, scanned column, pass bytes), identical for every
+    /// statement whose part has the same key.
+    part: Arc<PlannedPart>,
     state: Mutex<SweepState>,
-}
-
-impl PartSweep {
-    fn column(&self) -> &DictColumn<i64> {
-        self.data.as_deref().unwrap_or_else(|| self.table.column(self.column_id))
-    }
-}
-
-/// Everything the registry needs to attach a statement to one column part.
-pub(crate) struct PartAttachSpec {
-    /// Sweep identity: (column, placement generation, part index).
-    pub key: SweepKey,
-    /// Home socket of the part (dispatch tickets carry it).
-    pub socket: SocketId,
-    /// First global row of the part.
-    pub global_base: usize,
-    /// Base row in the scanned column's coordinates (0 for PP parts).
-    pub local_base: usize,
-    /// Rows in the part (must be > 0).
-    pub len: usize,
-    /// IV bytes of one full pass over the part.
-    pub pass_bytes: u64,
-    /// The table the part belongs to.
-    pub table: Arc<Table>,
-    /// The scanned column.
-    pub column_id: ColumnId,
-    /// Physically rebuilt part column, if any.
-    pub data: Option<Arc<DictColumn<i64>>>,
 }
 
 /// A claim on one pool task: the engine submits a task with this socket's
@@ -394,22 +271,25 @@ impl SharedScanRegistry {
         }
     }
 
-    /// Attaches one statement's query to the part's sweep, registering a new
-    /// sweep if none is in flight. Returns a dispatch ticket exactly when a
-    /// sweep was registered — the caller must then submit one pool task (with
-    /// the ticket's socket affinity) that calls
+    /// Attaches one statement's planned part to its sweep, registering a new
+    /// sweep if none is in flight; the part's collector item finishes once
+    /// the sweep has served it the whole part. Returns a dispatch ticket
+    /// exactly when a sweep was registered — the caller must then submit one
+    /// pool task (with the ticket's socket affinity) that calls
     /// [`SharedScanRegistry::dispatch`].
     pub(crate) fn attach(
         &self,
-        spec: PartAttachSpec,
-        predicate: Arc<EncodedPredicate>,
-        collector: Arc<SharedCollector>,
+        table: &Arc<Table>,
+        part: &Arc<PlannedPart>,
+        collector: &Arc<Collector<ChunkRef>>,
     ) -> Option<DispatchTicket> {
-        debug_assert!(spec.len > 0, "empty parts must not be attached");
-        let attached = Attached { predicate, served: 0, collector };
+        debug_assert!(!part.rows.is_empty(), "empty parts must not be attached");
+        let item = Item { collector: Arc::clone(collector) };
+        let attached = Attached { part: Arc::clone(part), served: 0, item };
         self.queries_attached.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        if let Some(sweep) = inner.sweeps.get(&spec.key) {
+        let key = part.key;
+        if let Some(sweep) = inner.sweeps.get(&key) {
             // A sweep found under the registry lock cannot be closed: the
             // sweeper sets `closed` and removes the map entry in one critical
             // section of this same lock.
@@ -420,15 +300,8 @@ impl SharedScanRegistry {
             return None;
         }
         let sweep = Arc::new(PartSweep {
-            key: spec.key,
-            socket: spec.socket,
-            global_base: spec.global_base,
-            local_base: spec.local_base,
-            len: spec.len,
-            pass_bytes: spec.pass_bytes,
-            table: spec.table,
-            column_id: spec.column_id,
-            data: spec.data,
+            table: Arc::clone(table),
+            part: Arc::clone(part),
             state: Mutex::new(SweepState {
                 cursor: 0,
                 active: Vec::new(),
@@ -436,10 +309,10 @@ impl SharedScanRegistry {
                 closed: false,
             }),
         });
-        inner.sweeps.insert(spec.key, sweep);
-        inner.unclaimed.push(spec.key);
+        inner.sweeps.insert(key, sweep);
+        inner.unclaimed.push(key);
         self.sweeps_started.fetch_add(1, Ordering::Relaxed);
-        Some(DispatchTicket { socket: spec.socket })
+        Some(DispatchTicket { socket: part.socket })
     }
 
     /// Entry point of the pool task a ticket caused: the relevance policy
@@ -453,14 +326,14 @@ impl SharedScanRegistry {
             let mut best: Option<(usize, u128)> = None;
             for (position, key) in inner.unclaimed.iter().enumerate() {
                 let sweep = &inner.sweeps[key];
-                if sweep.socket != ticket.socket {
+                if sweep.part.socket != ticket.socket {
                     continue;
                 }
                 let waiting = {
                     let state = sweep.state.lock();
                     state.pending.len() + state.active.len()
                 };
-                let score = waiting as u128 * u128::from(sweep.pass_bytes);
+                let score = waiting as u128 * u128::from(sweep.part.bytes);
                 let better = match best {
                     None => true,
                     Some((_, best_score)) => score > best_score,
@@ -491,24 +364,23 @@ impl SharedScanRegistry {
     /// (counting mid-column joins as wraparounds), close if nobody is
     /// waiting, otherwise evaluate the next chunk once for the whole active
     /// set and credit every query its prefix.
-    fn run_sweep(&self, sweep: &Arc<PartSweep>) {
-        let column = sweep.column();
+    fn run_sweep(&self, sweep: &PartSweep) {
+        let geometry = &sweep.part;
+        let column = geometry.column(&sweep.table);
+        let len = geometry.rows.len();
         loop {
             // -------- chunk boundary: joins, detaches, close --------
             let (chunk, takes): (Range<usize>, Vec<usize>) = {
                 let mut state = sweep.state.lock();
-                if state.cursor == sweep.len {
+                if state.cursor == len {
                     state.cursor = 0;
                 }
-                // Deadline-expired statements detach here, at the chunk
-                // boundary: their waiter is gone, so their attachments are
-                // dropped without a `complete_part` — the per-collector
-                // remaining count was never decremented for these parts, so
-                // nothing underflows, and the remaining active set keeps its
-                // served counts untouched.
+                // Statements whose waiter is gone detach here, at the chunk
+                // boundary: nobody reads their collector any more, and the
+                // remaining active set keeps its served counts untouched.
                 let waiting = state.active.len() + state.pending.len();
-                state.active.retain(|attached| !attached.collector.is_cancelled());
-                state.pending.retain(|attached| !attached.collector.is_cancelled());
+                state.active.retain(|attached| !attached.item.collector.token.is_cancelled());
+                state.pending.retain(|attached| !attached.item.collector.token.is_cancelled());
                 let detached = waiting - state.active.len() - state.pending.len();
                 if detached > 0 {
                     self.deadline_detaches.fetch_add(detached as u64, Ordering::Relaxed);
@@ -529,7 +401,7 @@ impl SharedScanRegistry {
                     let mut state = sweep.state.lock();
                     if state.active.is_empty() && state.pending.is_empty() {
                         state.closed = true;
-                        inner.sweeps.remove(&sweep.key);
+                        inner.sweeps.remove(&geometry.key);
                         return;
                     }
                     continue;
@@ -538,15 +410,14 @@ impl SharedScanRegistry {
                 // Clamp the chunk to the longest remaining need so the final
                 // chunk of a pass ends exactly at the last row any attached
                 // query still wants — no row is swept that nobody asked for.
-                let needed = state.active.iter().map(|a| sweep.len - a.served).max().unwrap_or(0);
-                let end = (start + self.chunk_rows.min(needed)).min(sweep.len);
+                let needed = state.active.iter().map(|a| len - a.served).max().unwrap_or(0);
+                let end = (start + self.chunk_rows.min(needed)).min(len);
                 state.cursor = end;
                 let chunk_len = end - start;
                 // Chunk-boundary activation means every active query's next
                 // unserved row is exactly `start`; its share of this chunk is
                 // a prefix (shorter than the chunk only on its final chunk).
-                let takes =
-                    state.active.iter().map(|a| (sweep.len - a.served).min(chunk_len)).collect();
+                let takes = state.active.iter().map(|a| (len - a.served).min(chunk_len)).collect();
                 (start..end, takes)
             };
 
@@ -555,25 +426,26 @@ impl SharedScanRegistry {
             self.chunks_swept.fetch_add(1, Ordering::Relaxed);
             self.rows_swept.fetch_add(chunk_len as u64, Ordering::Relaxed);
             self.bytes_swept.fetch_add(column.iv_scan_bytes(chunk_len), Ordering::Relaxed);
-            let scan_lo = sweep.local_base + chunk.start;
-            let scan_hi = sweep.local_base + chunk.end;
-            let (predicates, collectors): (Vec<Arc<EncodedPredicate>>, Vec<Arc<SharedCollector>>) = {
+            let scan_lo = geometry.local_base + chunk.start;
+            let scan_hi = geometry.local_base + chunk.end;
+            let waiters: Vec<(Arc<PlannedPart>, Arc<Collector<ChunkRef>>)> = {
                 // `active` is only mutated by this sweeper, so the snapshot
                 // taken at the boundary stays index-aligned; re-locking here
                 // only synchronizes with attachers touching `pending`.
                 let state = sweep.state.lock();
-                (
-                    state.active.iter().map(|a| Arc::clone(&a.predicate)).collect(),
-                    state.active.iter().map(|a| Arc::clone(&a.collector)).collect(),
-                )
+                state
+                    .active
+                    .iter()
+                    .map(|a| (Arc::clone(&a.part), Arc::clone(&a.item.collector)))
+                    .collect()
             };
             // A hot waiting set re-issues the same few statements over and
             // over; identical predicates collapse to one kernel lane and the
             // result fans out to every query that asked for it.
             let mut unique: Vec<&EncodedPredicate> = Vec::new();
-            let mut slot_of: Vec<usize> = Vec::with_capacity(predicates.len());
-            for predicate in &predicates {
-                let p: &EncodedPredicate = predicate;
+            let mut slot_of: Vec<usize> = Vec::with_capacity(waiters.len());
+            for (part, _) in &waiters {
+                let p = &part.encoded;
                 let slot = unique.iter().position(|u| *u == p).unwrap_or_else(|| {
                     unique.push(p);
                     unique.len() - 1
@@ -586,17 +458,20 @@ impl SharedScanRegistry {
                     .map(Arc::new)
                     .collect();
             // Hand every query a reference to its lane's match list; the
-            // client trims and folds after the wait, so fan-out here costs one
-            // Arc clone per query no matter how wide the waiting set is.
-            let global_start = sweep.global_base + chunk.start;
-            for ((slot, take), collector) in slot_of.iter().zip(&takes).zip(&collectors) {
-                collector.push(ChunkRef {
-                    global_start,
-                    scan_lo,
-                    take: *take,
-                    positions: Arc::clone(&matches[*slot]),
-                    sweep: Arc::clone(sweep),
-                });
+            // client trims and folds after the wait, so fan-out here costs
+            // two Arc clones per query no matter how wide the waiting set is.
+            let global_start = geometry.rows.start + chunk.start;
+            for ((slot, take), (part, collector)) in slot_of.iter().zip(&takes).zip(&waiters) {
+                let positions = &matches[*slot];
+                if !positions.is_empty() {
+                    let chunk = ChunkRef {
+                        scan_lo,
+                        take: *take,
+                        positions: Arc::clone(positions),
+                        part: Arc::clone(part),
+                    };
+                    collector.push(global_start, chunk);
+                }
             }
 
             // -------- credit served rows, detach completed queries --------
@@ -604,14 +479,7 @@ impl SharedScanRegistry {
             for (attached, take) in state.active.iter_mut().zip(&takes) {
                 attached.served += take;
             }
-            state.active.retain(|attached| {
-                debug_assert!(attached.served <= sweep.len);
-                let done = attached.served >= sweep.len;
-                if done {
-                    attached.collector.complete_part();
-                }
-                !done
-            });
+            state.active.retain(|attached| attached.served < len);
         }
     }
 }
@@ -619,7 +487,7 @@ impl SharedScanRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numascan_storage::{Predicate, TableBuilder};
+    use numascan_storage::{materialize_positions, Predicate, TableBuilder};
 
     fn test_table(rows: usize) -> Arc<Table> {
         let values: Vec<i64> = (0..rows as i64).map(|i| (i * 37) % 500).collect();
@@ -634,19 +502,19 @@ mod tests {
             .collect()
     }
 
-    fn spec_for(table: &Arc<Table>, key: SweepKey) -> PartAttachSpec {
+    /// The whole base column as one planned part on socket 0.
+    fn part_for(table: &Table, key: SweepKey, lo: i64, hi: i64) -> Arc<PlannedPart> {
         let (column_id, column) = table.column_by_name("v").unwrap();
-        PartAttachSpec {
+        Arc::new(PlannedPart {
             key,
             socket: SocketId(0),
-            global_base: 0,
-            local_base: 0,
-            len: column.row_count(),
-            pass_bytes: column.iv_scan_bytes(column.row_count()),
-            table: Arc::clone(table),
+            rows: 0..column.row_count(),
             column_id,
             data: None,
-        }
+            local_base: 0,
+            encoded: Predicate::Between { lo, hi }.encode(column.dictionary()),
+            bytes: column.iv_scan_bytes(column.row_count()),
+        })
     }
 
     fn attach_query(
@@ -655,12 +523,20 @@ mod tests {
         key: SweepKey,
         lo: i64,
         hi: i64,
-    ) -> (Arc<SharedCollector>, Option<DispatchTicket>) {
-        let (_, column) = table.column_by_name("v").unwrap();
-        let predicate = Arc::new(Predicate::Between { lo, hi }.encode(column.dictionary()));
-        let collector = Arc::new(SharedCollector::new(1));
-        let ticket = registry.attach(spec_for(table, key), predicate, Arc::clone(&collector));
+    ) -> (Arc<Collector<ChunkRef>>, Option<DispatchTicket>) {
+        let collector = Arc::new(Collector::new(1));
+        let ticket = registry.attach(table, &part_for(table, key, lo, hi), &collector);
         (collector, ticket)
+    }
+
+    /// Waits for a collector without a deadline and materializes its
+    /// statement's values in global row order.
+    fn wait(table: &Table, collector: &Collector<ChunkRef>) -> Vec<i64> {
+        let chunks = collector.wait(None).expect("an undisturbed sweep serves every part");
+        chunks
+            .iter()
+            .flat_map(|c| materialize_positions(c.part.column(table), c.served_positions()))
+            .collect()
     }
 
     #[test]
@@ -673,8 +549,8 @@ mod tests {
         let (second, none) = attach_query(&registry, &table, key, 0, 499);
         assert!(none.is_none(), "later attaches join the registered sweep");
         registry.dispatch(ticket);
-        assert_eq!(first.wait(), oracle(&table, 100, 199));
-        assert_eq!(second.wait(), oracle(&table, 0, 499));
+        assert_eq!(wait(&table, &first), oracle(&table, 100, 199));
+        assert_eq!(wait(&table, &second), oracle(&table, 0, 499));
         let stats = registry.stats();
         assert_eq!(stats.sweeps_started, 1);
         assert_eq!(stats.queries_attached, 2);
@@ -703,8 +579,8 @@ mod tests {
         registry.dispatch(ticket);
         // Both queries activated at cursor 3_000, so both must have wrapped —
         // and their results must still come back in ascending row order.
-        assert_eq!(early.wait(), oracle(&table, 50, 120));
-        assert_eq!(late.wait(), oracle(&table, 200, 260));
+        assert_eq!(wait(&table, &early), oracle(&table, 50, 120));
+        assert_eq!(wait(&table, &late), oracle(&table, 200, 260));
         let stats = registry.stats();
         assert_eq!(stats.wraparound_joins, 2);
         // The circular pass covers tail + prefix exactly once per row.
@@ -722,9 +598,9 @@ mod tests {
         assert!(none.is_none());
         // Simulate a deadline expiry before the sweep runs: the waiter gave
         // up, so the sweep must drop the attachment at its first boundary.
-        expired.cancel();
+        expired.token.cancel();
         registry.dispatch(ticket);
-        assert_eq!(live.wait(), oracle(&table, 0, 499));
+        assert_eq!(wait(&table, &live), oracle(&table, 0, 499));
         let stats = registry.stats();
         assert_eq!(stats.deadline_detaches, 1);
         assert_eq!(stats.rows_swept, 6_000, "the live query is still served a full pass");
@@ -737,7 +613,7 @@ mod tests {
         let registry = SharedScanRegistry::new(256);
         let key = SweepKey { column: 0, generation: 0, part: 0 };
         let (gone, ticket) = attach_query(&registry, &table, key, 0, 99);
-        gone.cancel();
+        gone.token.cancel();
         registry.dispatch(ticket.unwrap());
         let stats = registry.stats();
         assert_eq!(stats.deadline_detaches, 1);
@@ -758,12 +634,12 @@ mod tests {
         // The first freed task redirects to the three-query sweep even though
         // the thin sweep registered first; the second serves the remainder.
         registry.dispatch(thin_ticket.unwrap());
-        assert_eq!(thick_a.wait(), oracle(&table, 20, 30));
-        assert_eq!(thick_b.wait(), oracle(&table, 40, 60));
-        assert_eq!(thick_c.wait(), oracle(&table, 0, 499));
+        assert_eq!(wait(&table, &thick_a), oracle(&table, 20, 30));
+        assert_eq!(wait(&table, &thick_b), oracle(&table, 40, 60));
+        assert_eq!(wait(&table, &thick_c), oracle(&table, 0, 499));
         assert!(registry.stats().relevance_redirects > 0);
         registry.dispatch(thick_ticket.unwrap());
-        assert_eq!(thin_out.wait(), oracle(&table, 0, 10));
+        assert_eq!(wait(&table, &thin_out), oracle(&table, 0, 10));
         assert!(registry.inner.lock().sweeps.is_empty());
     }
 }
