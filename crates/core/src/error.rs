@@ -21,6 +21,11 @@ pub enum EngineError {
     /// cancellation token, shared-sweep attachments are purged at the next
     /// chunk boundary); the engine remains fully usable.
     DeadlineExceeded,
+    /// A task working for the statement panicked — a private scan task, or
+    /// the sweeper of a shared part it was attached to — so its answer is
+    /// incomplete. The statement's remaining work is cancelled and a
+    /// panicked sweep leaves the registry; the engine remains fully usable.
+    TaskPanicked,
 }
 
 impl fmt::Display for EngineError {
@@ -28,6 +33,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::UnknownColumn(name) => write!(f, "unknown column {name:?}"),
             EngineError::DeadlineExceeded => write!(f, "statement deadline exceeded"),
+            EngineError::TaskPanicked => write!(f, "a statement task panicked"),
         }
     }
 }
@@ -42,5 +48,6 @@ mod tests {
     fn errors_display_their_cause() {
         assert_eq!(EngineError::UnknownColumn("v".into()).to_string(), "unknown column \"v\"");
         assert_eq!(EngineError::DeadlineExceeded.to_string(), "statement deadline exceeded");
+        assert_eq!(EngineError::TaskPanicked.to_string(), "a statement task panicked");
     }
 }

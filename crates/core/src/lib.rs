@@ -30,9 +30,10 @@
 //!   library outside the simulator: placement-aligned task splitting, live
 //!   move/repartition actions, and the scan telemetry (per-socket and
 //!   per-column bytes) that closes the adaptive loop without the simulator.
-//! * [`error`] — typed statement errors ([`EngineError`]): unknown columns
-//!   and deadline expiry, so callers above the engine (the cluster tier in
-//!   particular) can tell a permanent failure from a timed-out attempt.
+//! * [`error`] — typed statement errors ([`EngineError`]): unknown columns,
+//!   deadline expiry and panicked tasks, so callers above the engine (the
+//!   cluster tier in particular) can tell a permanent failure from a
+//!   timed-out attempt.
 //! * [`session`] — the multi-client admission layer: concurrent statements
 //!   register themselves so the measured active-statement count drives the
 //!   concurrency hint, and epoch rebalance steps are coordinated in one

@@ -19,7 +19,7 @@
 //!    intra-statement parallelism, attach the same parts to their
 //!    cooperative shared sweeps ([`crate::shared`]); either way the
 //!    statement waits on one collector, which returns the outputs sorted by
-//!    key, or fails typed when the deadline expires;
+//!    key, or fails typed when the deadline expires or a task panics;
 //! 3. **sink** — materialize the qualifying values in row order, or fold
 //!    them into dense partial aggregation tables; private outputs reduce in
 //!    chunk order, shared chunks fold in global row order.
@@ -356,7 +356,7 @@ impl NativeEpoch {
 pub(crate) struct Collector<T> {
     state: Mutex<CollectorState<T>>,
     done: Condvar,
-    /// Cancelled once the waiter is gone (deadline expiry):
+    /// Cancelled once the waiter is gone (deadline expiry or a failed item):
     /// queued private tasks are dropped at pickup, and sweeps purge the
     /// statement's attachments at their next chunk boundary.
     pub(crate) token: CancellationToken,
@@ -365,6 +365,8 @@ pub(crate) struct Collector<T> {
 struct CollectorState<T> {
     /// Work items not yet finished.
     remaining: usize,
+    /// Set when an item finished without delivering: its task unwound.
+    failed: bool,
     items: Vec<(usize, T)>,
 }
 
@@ -372,7 +374,11 @@ impl<T> Collector<T> {
     /// A collector waiting on `items` work items.
     pub(crate) fn new(items: usize) -> Self {
         Collector {
-            state: Mutex::new(CollectorState { remaining: items, items: Vec::new() }),
+            state: Mutex::new(CollectorState {
+                remaining: items,
+                failed: false,
+                items: Vec::new(),
+            }),
             done: Condvar::new(),
             token: CancellationToken::new(),
         }
@@ -383,22 +389,29 @@ impl<T> Collector<T> {
         self.state.lock().items.push((key, item));
     }
 
-    /// Marks one work item finished.
-    pub(crate) fn finish(&self) {
+    /// Marks one work item finished; `delivered` is false when it ended
+    /// without its output, which fails the statement.
+    pub(crate) fn finish(&self, delivered: bool) {
         let mut state = self.state.lock();
         state.remaining -= 1;
-        if state.remaining == 0 {
+        state.failed |= !delivered;
+        if state.remaining == 0 || !delivered {
             self.done.notify_all();
         }
     }
 
-    /// Blocks until every item finished or the optional absolute deadline
-    /// expired, and returns the outputs sorted by key. An expired deadline
-    /// answers [`EngineError::DeadlineExceeded`] and cancels the token, so
-    /// the statement's outstanding work stops at its next chunk boundary.
+    /// Blocks until every item finished, an item failed, or the optional
+    /// absolute deadline expired, and returns the outputs sorted by key.
+    /// A failed item answers [`EngineError::TaskPanicked`], an expired
+    /// deadline [`EngineError::DeadlineExceeded`]; either way the token is
+    /// cancelled, so the statement's outstanding work stops at its next
+    /// chunk boundary.
     pub(crate) fn wait(&self, deadline: Option<Instant>) -> Result<Vec<T>, EngineError> {
         let mut state = self.state.lock();
         let error = loop {
+            if state.failed {
+                break EngineError::TaskPanicked;
+            }
             if state.remaining == 0 {
                 let mut items = std::mem::take(&mut state.items);
                 items.sort_unstable_by_key(|(key, _)| *key);
@@ -421,23 +434,27 @@ impl<T> Collector<T> {
 
 /// One work item's claim on its statement's collector — a private task, or
 /// a statement's attachment to one part's sweep. Dropping it finishes the
-/// item: a task cancelled unrun or unwound (the pool catches task panics to
-/// stay usable) still counts the statement down, so the waiter never
-/// blocks forever.
+/// item, delivered only if its owner set `delivered` first: a task cancelled
+/// unrun, a task that unwound (the pool catches task panics to stay usable)
+/// and an attachment dropped with a panicked sweep all still count the
+/// statement down, so the waiter neither blocks forever nor reduces a short
+/// answer.
 pub(crate) struct Item<T> {
     pub(crate) collector: Arc<Collector<T>>,
+    pub(crate) delivered: bool,
 }
 
 impl<T> Item<T> {
     /// Delivers a private task's one output under `key` and finishes it.
-    fn deliver(self, key: usize, output: T) {
+    fn deliver(mut self, key: usize, output: T) {
         self.collector.push(key, output);
+        self.delivered = true;
     }
 }
 
 impl<T> Drop for Item<T> {
     fn drop(&mut self) {
-        self.collector.finish();
+        self.collector.finish(self.delivered);
     }
 }
 
@@ -594,7 +611,12 @@ impl NativeEngine {
     /// not-yet-started tasks are cancelled (running chunks finish and are
     /// discarded); on the shared path its attachment is purged from the sweep
     /// at the next chunk boundary, leaving the sweep's refcounts — and every
-    /// other attached statement — untouched.
+    /// other attached statement — untouched. A task that panics — a private
+    /// scan task, or the sweeper of an attached part — fails the statement
+    /// with [`EngineError::TaskPanicked`] instead of a short answer or an
+    /// endless wait; the rest of its work is cancelled the same way, a
+    /// panicked sweep leaves the registry, and the engine serves the next
+    /// statement normally.
     pub fn execute(
         &self,
         request: &ScanRequest,
@@ -795,7 +817,7 @@ impl NativeEngine {
             // Moved *into* the closure (not created inside it): a cancelled
             // task's closure is dropped unrun and a panicking one unwinds,
             // and either way the item's drop still finishes it.
-            let item = Item { collector: Arc::clone(&collector) };
+            let item = Item { collector: Arc::clone(&collector), delivered: false };
             self.pool.submit_cancellable(meta, collector.token.clone(), move || {
                 item.deliver(chunk, sink.scan(&table, &part, rows));
             });
@@ -1427,6 +1449,78 @@ mod tests {
             "the dominating hot column should be IVP-partitioned, got {action:?}"
         );
         assert!(engine.column_partitions(payload) > 1);
+        engine.shutdown();
+    }
+
+    /// A row sink whose first task of every part panics.
+    struct PanickingSink;
+
+    impl Sink for PanickingSink {
+        type Out = Vec<i64>;
+
+        fn scan(&self, table: &Table, part: &PlannedPart, rows: Range<usize>) -> Vec<i64> {
+            if rows.start == part.local_base {
+                panic!("injected task panic");
+            }
+            RowSink.scan(table, part, rows)
+        }
+
+        fn fold(&self, table: &Table, chunks: &[ChunkRef]) -> Vec<i64> {
+            RowSink.fold(table, chunks)
+        }
+
+        fn reduce(&self, outs: Vec<Vec<i64>>) -> Vec<i64> {
+            RowSink.reduce(outs)
+        }
+    }
+
+    #[test]
+    fn a_panicking_private_task_fails_its_statement_typed() {
+        let rows = 40_000;
+        let engine = NativeEngine::new(table(rows), &small_topology(), SchedulingStrategy::Bound);
+        let (payload, _) = engine.table().column_by_name("payload").unwrap();
+        // The deadline bounds a wedged waiter; the failure must come first.
+        let request =
+            ScanRequest::between("payload", 100, 199).with_deadline(Duration::from_secs(20));
+        for layout in [IvLayoutKind::BitPacked, IvLayoutKind::Rle] {
+            engine.relayout_part(payload, 0, layout);
+            let plan = engine.plan(&request).unwrap();
+            let deadline = Some(Instant::now() + Duration::from_secs(20));
+            let got = engine.run(&plan, PanickingSink, 1, deadline).map(|rows| rows.len());
+            assert_eq!(got, Err(EngineError::TaskPanicked), "{layout:?}: a short answer passed");
+            // The same engine and part serve the next statement in full.
+            let values = engine.execute(&request, 1).unwrap().into_rows();
+            assert_eq!(values, reference_between(rows, 100, 199), "{layout:?}");
+        }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_sweeper_fails_its_statement_and_frees_the_part() {
+        let rows = 40_000;
+        let engine = NativeEngine::with_config(
+            table(rows),
+            &small_topology(),
+            NativeEngineConfig {
+                shared_scans: SharedScanConfig { mode: SharedScanMode::Always, chunk_rows: 4_096 },
+                ..Default::default()
+            },
+        );
+        let (payload, _) = engine.table().column_by_name("payload").unwrap();
+        let request =
+            ScanRequest::between("payload", 100, 199).with_deadline(Duration::from_secs(20));
+        for layout in [IvLayoutKind::BitPacked, IvLayoutKind::Rle] {
+            engine.relayout_part(payload, 0, layout);
+            let started = engine.shared_scan_stats().sweeps_started;
+            *engine.shared.panic_next_chunk.lock() = true;
+            assert_eq!(engine.execute(&request, 8), Err(EngineError::TaskPanicked), "{layout:?}");
+            // The panicked sweep left the registry: the next statement on
+            // the part starts a fresh sweep and is served in full instead of
+            // joining the dead one.
+            let values = engine.execute(&request, 8).unwrap().into_rows();
+            assert_eq!(values, reference_between(rows, 100, 199), "{layout:?}");
+            assert_eq!(engine.shared_scan_stats().sweeps_started, started + 2, "{layout:?}");
+        }
         engine.shutdown();
     }
 }

@@ -197,8 +197,9 @@ impl SessionManager {
 
     /// Admits and executes one statement: registers it as active and blocks
     /// the calling client until its results are complete, its deadline
-    /// expires ([`EngineError::DeadlineExceeded`]), or the column turns out
-    /// not to exist ([`EngineError::UnknownColumn`]).
+    /// expires ([`EngineError::DeadlineExceeded`]), a task working for it
+    /// panics ([`EngineError::TaskPanicked`]), or the column turns out not to
+    /// exist ([`EngineError::UnknownColumn`]).
     ///
     /// The statement runs through the engine's one pipeline
     /// ([`NativeEngine::execute`]): plan → private tasks or shared attach →

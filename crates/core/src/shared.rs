@@ -31,7 +31,11 @@
 //!   collector item), or at a chunk boundary once its collector's token is
 //!   cancelled (its waiter gave up); when the last query detaches and no new
 //!   one is pending at the chunk boundary, the sweep closes and removes
-//!   itself from the registry.
+//!   itself from the registry;
+//! * a sweeper that panics removes its sweep from the registry and fails
+//!   every attached collector on the way out, so its statements answer
+//!   [`EngineError::TaskPanicked`](crate::EngineError::TaskPanicked) and the
+//!   next statement on the part starts a fresh sweep.
 //!
 //! Because activation happens only at chunk boundaries, an active query's
 //! next unserved row always equals the sweep cursor, so per-query trimming
@@ -116,10 +120,10 @@ pub struct SharedScanStats {
     /// Dispatch tickets that the relevance policy redirected to a more
     /// relevant sweep than the one whose registration created the ticket.
     pub relevance_redirects: u64,
-    /// Attachments purged at a chunk boundary because their statement's
-    /// deadline expired while it waited. The purged statement's rows stop
-    /// being swept; every other attachment — and the sweep's completion
-    /// accounting — is untouched.
+    /// Attachments purged at a chunk boundary because their statement
+    /// stopped waiting — its deadline expired, or another of its parts
+    /// failed. The purged statement's rows stop being swept; every other
+    /// attachment — and the sweep's completion accounting — is untouched.
     pub deadline_detaches: u64,
 }
 
@@ -173,9 +177,10 @@ struct Attached {
     part: Arc<PlannedPart>,
     /// Rows served so far (the query detaches at the part's length).
     served: usize,
-    /// The statement's collector item for this part, finished when the
-    /// attachment leaves the sweep: served the whole part, or purged after
-    /// its waiter gave up.
+    /// The statement's collector item for this part, delivered once the
+    /// whole part was served; an attachment dropped any other way (purged
+    /// after its waiter gave up, or with a panicked sweep) finishes it
+    /// undelivered.
     item: Item<ChunkRef>,
 }
 
@@ -236,6 +241,29 @@ pub(crate) struct SharedScanRegistry {
     bytes_swept: AtomicU64,
     relevance_redirects: AtomicU64,
     deadline_detaches: AtomicU64,
+    /// Test hook: when set, the next chunk a sweeper evaluates panics.
+    #[cfg(test)]
+    pub(crate) panic_next_chunk: Mutex<bool>,
+}
+
+/// Armed for the length of one sweep loop: if the sweeper unwinds, the
+/// sweep leaves the registry, so later statements on the part start a fresh
+/// one instead of joining a sweep nobody runs. The unwind then drops the
+/// sweep's last reference, and with it every attachment, failing each
+/// attached statement instead of leaving it waiting forever.
+struct SweepAbort<'a> {
+    registry: &'a SharedScanRegistry,
+    sweep: &'a PartSweep,
+}
+
+impl Drop for SweepAbort<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut inner = self.registry.inner.lock();
+            self.sweep.state.lock().closed = true;
+            inner.sweeps.remove(&self.sweep.part.key);
+        }
+    }
 }
 
 impl SharedScanRegistry {
@@ -253,6 +281,8 @@ impl SharedScanRegistry {
             bytes_swept: AtomicU64::new(0),
             relevance_redirects: AtomicU64::new(0),
             deadline_detaches: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_next_chunk: Mutex::new(false),
         }
     }
 
@@ -284,7 +314,7 @@ impl SharedScanRegistry {
         collector: &Arc<Collector<ChunkRef>>,
     ) -> Option<DispatchTicket> {
         debug_assert!(!part.rows.is_empty(), "empty parts must not be attached");
-        let item = Item { collector: Arc::clone(collector) };
+        let item = Item { collector: Arc::clone(collector), delivered: false };
         let attached = Attached { part: Arc::clone(part), served: 0, item };
         self.queries_attached.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
@@ -365,6 +395,7 @@ impl SharedScanRegistry {
     /// waiting, otherwise evaluate the next chunk once for the whole active
     /// set and credit every query its prefix.
     fn run_sweep(&self, sweep: &PartSweep) {
+        let _abort = SweepAbort { registry: self, sweep };
         let geometry = &sweep.part;
         let column = geometry.column(&sweep.table);
         let len = geometry.rows.len();
@@ -422,6 +453,10 @@ impl SharedScanRegistry {
             };
 
             // -------- evaluate the chunk once for the whole set --------
+            #[cfg(test)]
+            if std::mem::take(&mut *self.panic_next_chunk.lock()) {
+                panic!("injected sweep panic");
+            }
             let chunk_len = chunk.len();
             self.chunks_swept.fetch_add(1, Ordering::Relaxed);
             self.rows_swept.fetch_add(chunk_len as u64, Ordering::Relaxed);
@@ -479,7 +514,10 @@ impl SharedScanRegistry {
             for (attached, take) in state.active.iter_mut().zip(&takes) {
                 attached.served += take;
             }
-            state.active.retain(|attached| attached.served < len);
+            state.active.retain_mut(|attached| {
+                attached.item.delivered = attached.served == len;
+                !attached.item.delivered
+            });
         }
     }
 }
