@@ -2,6 +2,10 @@
 
 use proptest::prelude::*;
 
+mod common;
+
+use common::oracle_rows;
+
 use numascan::numasim::memman::{AllocPolicy, MemoryManager, VirtRange, PAGE_SIZE};
 use numascan::numasim::{SocketId, Topology};
 use numascan::psm::Psm;
@@ -823,19 +827,7 @@ proptest! {
         // Sequential oracle over the engine's own base table.
         let table = session.engine().table();
         for (request, got) in &outcomes {
-            let (_, column) = table.column_by_name(request.column()).expect("oracle column");
-            let keep: Box<dyn Fn(i64) -> bool> = match &request.spec {
-                numascan::core::ScanSpec::Between { lo, hi } => {
-                    let (lo, hi) = (*lo, *hi);
-                    Box::new(move |v| (lo..=hi).contains(&v))
-                }
-                numascan::core::ScanSpec::InList { values } => {
-                    let set: std::collections::HashSet<i64> = values.iter().copied().collect();
-                    Box::new(move |v| set.contains(&v))
-                }
-            };
-            let expected: Vec<i64> =
-                (0..column.row_count()).map(|p| *column.value_at(p)).filter(|v| keep(*v)).collect();
+            let expected = oracle_rows(table, 0..table.row_count(), request);
             prop_assert_eq!(got, &expected, "shared result diverged for {:?}", request);
         }
 
@@ -844,6 +836,125 @@ proptest! {
         let stats = session.engine().scheduler_stats();
         prop_assert_eq!(stats.affinity_violations, 0);
         session.shutdown();
+    }
+
+    /// Placement actions applied *while* statements run: a mutator thread
+    /// moves, repartitions (IVP and PP) and relayouts columns of a live
+    /// engine while two or three clients issue range, IN-list and aggregate
+    /// statements, privately and through shared sweeps. Every answer equals
+    /// the oracle and none fails. A sweep takes its geometry from the first
+    /// statement that attached to it, so this holds only while every
+    /// statement planned under one sweep key describes the same rows.
+    #[test]
+    fn live_placement_swaps_under_load_match_the_oracle(
+        rows in 2_000usize..6_000,
+        seed in any::<u64>(),
+        placement_pick in 0u8..3,
+        chunk_rows in 64usize..512,
+        clients in 2usize..4,
+        statements in proptest::collection::vec((0u8..3, 0usize..3, 0i64..512, 0i64..120), 3..8),
+        actions in proptest::collection::vec(
+            (0u8..4, 0usize..3, 1usize..6, 0u16..4, any::<bool>()),
+            4..12,
+        ),
+    ) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        use numascan::core::{
+            oracle_aggregate, AggFunc, AggSpec, ColumnRef, NativeEngine, NativeEngineConfig,
+            PlacementStrategy, PlacerAction, QueryResult, ScanRequest, SessionManager,
+            SharedScanConfig, SharedScanMode,
+        };
+        use numascan::workload::small_real_table;
+
+        let placement = match placement_pick {
+            0 => PlacementStrategy::RoundRobin,
+            1 => PlacementStrategy::IndexVectorPartitioned { parts: 3 },
+            _ => PlacementStrategy::PhysicallyPartitioned { parts: 4 },
+        };
+        // Columns: id (one value per row), col000 (0..256), col001 (0..512).
+        let table = small_real_table(rows, 2, seed);
+        let names = ["id", "col000", "col001"];
+        let workload: Vec<(ScanRequest, QueryResult)> = statements
+            .iter()
+            .map(|&(kind, column, a, w)| {
+                let scan = match kind {
+                    0 => ScanRequest::between(names[column], a, a + w),
+                    _ => ScanRequest::in_list(names[column], vec![a, a + 1, a + w, a + 2 * w]),
+                };
+                if kind == 2 {
+                    let funcs = vec![AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max];
+                    let spec = AggSpec::new("col001", funcs).with_group_by("col000");
+                    let expected =
+                        oracle_aggregate(&table, scan.column(), &scan.predicate(), &spec);
+                    (scan.with_aggregate(spec), QueryResult::Aggregate(expected))
+                } else {
+                    let expected = oracle_rows(&table, 0..rows, &scan);
+                    (scan, QueryResult::Rows(expected))
+                }
+            })
+            .collect();
+        let actions: Vec<PlacerAction> = actions
+            .iter()
+            .map(|&(kind, column, parts, socket, rle)| {
+                let column = ColumnRef { table: 0, column };
+                match kind {
+                    0 => PlacerAction::MoveColumn { column, to: SocketId(socket) },
+                    1 => PlacerAction::RepartitionIvp { column, parts },
+                    2 => PlacerAction::RepartitionPp { column, parts },
+                    _ => {
+                        let layout = if rle { IvLayoutKind::Rle } else { IvLayoutKind::BitPacked };
+                        PlacerAction::Relayout { column, part: parts - 1, layout }
+                    }
+                }
+            })
+            .collect();
+
+        for mode in [SharedScanMode::Always, SharedScanMode::Off] {
+            let session = SessionManager::new(NativeEngine::with_config(
+                table.clone(),
+                &Topology::four_socket_ivybridge_ex(),
+                NativeEngineConfig {
+                    placement,
+                    shared_scans: SharedScanConfig { mode, chunk_rows },
+                    ..Default::default()
+                },
+            ));
+            let running = AtomicUsize::new(clients);
+            // Each client replays the workload a few times and reports its
+            // first wrong or failed answer; the mutator cycles through its
+            // actions until every client is done.
+            let failures: Vec<String> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..clients)
+                    .map(|client| {
+                        let (session, workload, running) = (&session, &workload, &running);
+                        scope.spawn(move || {
+                            let failure = (0..8 * workload.len()).find_map(|i| {
+                                let (request, expected) = &workload[(client + i) % workload.len()];
+                                match session.execute(request) {
+                                    Ok(got) if got == *expected => None,
+                                    other => Some(format!("{request:?}: got {other:?}")),
+                                }
+                            });
+                            running.fetch_sub(1, Ordering::Release);
+                            failure
+                        })
+                    })
+                    .collect();
+                // Bounded, so a client that panics fails the case instead of
+                // leaving the mutator spinning.
+                for action in actions.iter().cycle().take(2_000) {
+                    if running.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    session.engine().apply_action(action);
+                    std::thread::yield_now();
+                }
+                handles.into_iter().filter_map(|h| h.join().expect("client panicked")).collect()
+            });
+            prop_assert!(failures.is_empty(), "{:?} under live swaps: {:?}", mode, failures);
+            session.shutdown();
+        }
     }
 }
 
