@@ -336,13 +336,14 @@ mod tests {
     #[test]
     fn an_expired_deadline_fails_typed_on_the_private_path() {
         let s = session(200_000);
-        // A zero deadline has expired by the first latch check; the private
-        // path must cancel its outstanding tasks and return immediately.
+        // A zero deadline has expired by the collector's first check; the
+        // private path must cancel its outstanding tasks and return
+        // immediately.
         let r = ScanRequest::between("v", 0, 499).with_deadline(Duration::ZERO);
         assert_eq!(s.execute(&r), Err(EngineError::DeadlineExceeded));
         assert_eq!(s.active_statements(), 0);
-        // The engine stays fully usable afterwards; dropped tasks released
-        // their latch through the guard.
+        // The engine stays fully usable afterwards; the dropped tasks
+        // finished their collector items undelivered.
         let got = s.execute(&ScanRequest::between("v", 10, 49)).unwrap().into_rows();
         let expected: Vec<i64> =
             (0..200_000i64).map(|i| (i * 31) % 500).filter(|v| (10..=49).contains(v)).collect();
