@@ -5,7 +5,6 @@ use proptest::prelude::*;
 mod common;
 
 use common::oracle_rows;
-
 use numascan::numasim::memman::{AllocPolicy, MemoryManager, VirtRange, PAGE_SIZE};
 use numascan::numasim::{SocketId, Topology};
 use numascan::psm::Psm;
