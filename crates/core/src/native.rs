@@ -498,17 +498,18 @@ impl NativeEngine {
                 ..PoolConfig::default()
             },
         );
+        let table = Arc::new(table);
         NativeEngine {
             telemetry: Telemetry::new(sockets, table.column_count()),
-            table: Arc::new(table),
             pool,
             hint: ConcurrencyHint::new(topology.total_contexts()),
             sockets,
             placements: RwLock::new(placements),
             placement_generation: AtomicU64::new(0),
             statement_epoch: AtomicU64::new(0),
-            shared: Arc::new(SharedScanRegistry::new(config.shared_scans.chunk_rows)),
+            shared: Arc::new(SharedScanRegistry::new(&table, config.shared_scans.chunk_rows)),
             shared_mode: config.shared_scans.mode,
+            table,
         }
     }
 
@@ -840,7 +841,7 @@ impl NativeEngine {
     fn attach_shared(&self, plan: &PartPlan) -> Arc<Collector<ChunkRef>> {
         let collector = Arc::new(Collector::new(plan.parts.len()));
         for part in &plan.parts {
-            if let Some(ticket) = self.shared.attach(&self.table, part, &collector) {
+            if let Some(ticket) = self.shared.attach(part, &collector) {
                 self.pool.record_scanned_bytes(part.socket, part.bytes);
                 let registry = Arc::clone(&self.shared);
                 let meta = TaskMeta {
@@ -1512,7 +1513,7 @@ mod tests {
         for layout in [IvLayoutKind::BitPacked, IvLayoutKind::Rle] {
             engine.relayout_part(payload, 0, layout);
             let started = engine.shared_scan_stats().sweeps_started;
-            *engine.shared.panic_next_chunk.lock() = true;
+            engine.shared.panic_next_chunk();
             assert_eq!(engine.execute(&request, 8), Err(EngineError::TaskPanicked), "{layout:?}");
             // The panicked sweep left the registry: the next statement on
             // the part starts a fresh sweep and is served in full instead of

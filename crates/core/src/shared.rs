@@ -48,10 +48,19 @@
 //! the not-yet-claimed sweeps homed on the worker's socket serves the most
 //! demand (waiting queries × remaining bytes), so freed tasks always sweep
 //! where the waiting set is thickest while placement alignment is preserved.
+//!
+//! All protocol state — every sweep's cursor and its active and pending
+//! attachments, the queue of unclaimed sweeps, and the counters — lives in
+//! one `Inner` behind the registry's one lock. An attach, a dispatch claim,
+//! a chunk boundary and a chunk's credit are one critical section each, so an
+//! attacher either joins a sweep before its closing boundary or registers a
+//! fresh one after it. The batched kernel and the fan-out of match lists run
+//! outside the lock, and so does each client's trim and fold after
+//! `Collector::wait`. The only nested lock is registry → collector (an
+//! attachment dropped under the registry lock finishes its collector item),
+//! never the reverse.
 
 use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use numascan_numasim::SocketId;
@@ -184,28 +193,20 @@ struct Attached {
     item: Item<ChunkRef>,
 }
 
-/// Mutable state of a sweep, guarded by the sweep's own lock (acquired
-/// strictly *after* the registry lock where both are held).
-struct SweepState {
-    /// Next part-local row the sweep will serve; wraps at the part's length.
-    cursor: usize,
-    /// Queries being served. Only the owning sweeper task mutates this.
-    active: Vec<Attached>,
-    /// Queries waiting for the next chunk boundary to activate.
-    pending: Vec<Attached>,
-    /// Set (under both locks) when the sweep removed itself from the
-    /// registry; attachers can never observe it, it documents the protocol.
-    closed: bool,
-}
-
-/// One circular sweep over one column part.
-struct PartSweep {
-    table: Arc<Table>,
+/// One circular sweep over one column part, held by value in
+/// [`Inner::sweeps`] under its key. Only the sweeper that claimed it moves the
+/// cursor, mutates `active` or removes it; attachers only push to `pending`.
+struct Sweep {
     /// The registering statement's part: the sweep's key and geometry
     /// (socket, rows, scanned column, pass bytes), identical for every
     /// statement whose part has the same key.
     part: Arc<PlannedPart>,
-    state: Mutex<SweepState>,
+    /// Next part-local row the sweep will serve; wraps at the part's length.
+    cursor: usize,
+    /// Queries being served.
+    active: Vec<Attached>,
+    /// Queries waiting for the next chunk boundary to activate.
+    pending: Vec<Attached>,
 }
 
 /// A claim on one pool task: the engine submits a task with this socket's
@@ -216,89 +217,77 @@ pub(crate) struct DispatchTicket {
     socket: SocketId,
 }
 
-/// Registered sweeps plus the unclaimed queue the relevance policy picks
-/// from, guarded by one lock (acquired strictly *before* any sweep's state
-/// lock where both are held).
-struct RegistryInner {
-    sweeps: HashMap<SweepKey, Arc<PartSweep>>,
+/// All shared-sweep protocol state, touched only under the registry's one
+/// lock and only in short critical sections — an attach, a dispatch claim, a
+/// chunk boundary, a chunk's credit. The kernel never runs under it.
+struct Inner {
+    /// At most one sweep in flight per key.
+    sweeps: HashMap<SweepKey, Sweep>,
     /// Keys of sweeps registered but not yet claimed by a dispatcher task,
     /// in registration order.
     unclaimed: Vec<SweepKey>,
+    /// Counters, each bumped in the critical section of the event it counts.
+    stats: SharedScanStats,
+    /// Test hook: when set, the next chunk a sweeper evaluates panics.
+    #[cfg(test)]
+    panic_next_chunk: bool,
 }
 
 /// The shared-scan registry: at most one sweep in flight per
 /// (column, placement generation, part), with attach-or-start admission and
 /// relevance-driven dispatch.
 pub(crate) struct SharedScanRegistry {
+    /// The engine's table, which every sweep's part scans.
+    table: Arc<Table>,
     chunk_rows: usize,
-    inner: Mutex<RegistryInner>,
-    sweeps_started: AtomicU64,
-    queries_attached: AtomicU64,
-    late_attaches: AtomicU64,
-    wraparound_joins: AtomicU64,
-    chunks_swept: AtomicU64,
-    rows_swept: AtomicU64,
-    bytes_swept: AtomicU64,
-    relevance_redirects: AtomicU64,
-    deadline_detaches: AtomicU64,
-    /// Test hook: when set, the next chunk a sweeper evaluates panics.
-    #[cfg(test)]
-    pub(crate) panic_next_chunk: Mutex<bool>,
+    inner: Mutex<Inner>,
 }
 
-/// Armed for the length of one sweep loop: if the sweeper unwinds, the
-/// sweep leaves the registry, so later statements on the part start a fresh
-/// one instead of joining a sweep nobody runs. The unwind then drops the
-/// sweep's last reference, and with it every attachment, failing each
-/// attached statement instead of leaving it waiting forever.
+/// Armed for the length of one sweep loop: if the sweeper unwinds, it
+/// removes its sweep from the registry, so later statements on the part start
+/// a fresh one instead of joining a sweep nobody runs. The removed sweep is
+/// dropped after the registry lock is released, and with it every
+/// attachment, failing each attached statement instead of leaving it waiting
+/// forever.
 struct SweepAbort<'a> {
     registry: &'a SharedScanRegistry,
-    sweep: &'a PartSweep,
+    key: SweepKey,
 }
 
 impl Drop for SweepAbort<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let mut inner = self.registry.inner.lock();
-            self.sweep.state.lock().closed = true;
-            inner.sweeps.remove(&self.sweep.part.key);
+            let removed = self.registry.inner.lock().sweeps.remove(&self.key);
+            drop(removed);
         }
     }
 }
 
 impl SharedScanRegistry {
-    /// An empty registry sweeping `chunk_rows` rows per chunk.
-    pub(crate) fn new(chunk_rows: usize) -> Self {
+    /// An empty registry over `table`, sweeping `chunk_rows` rows per chunk.
+    pub(crate) fn new(table: &Arc<Table>, chunk_rows: usize) -> Self {
         SharedScanRegistry {
+            table: Arc::clone(table),
             chunk_rows: chunk_rows.max(1),
-            inner: Mutex::new(RegistryInner { sweeps: HashMap::new(), unclaimed: Vec::new() }),
-            sweeps_started: AtomicU64::new(0),
-            queries_attached: AtomicU64::new(0),
-            late_attaches: AtomicU64::new(0),
-            wraparound_joins: AtomicU64::new(0),
-            chunks_swept: AtomicU64::new(0),
-            rows_swept: AtomicU64::new(0),
-            bytes_swept: AtomicU64::new(0),
-            relevance_redirects: AtomicU64::new(0),
-            deadline_detaches: AtomicU64::new(0),
-            #[cfg(test)]
-            panic_next_chunk: Mutex::new(false),
+            inner: Mutex::new(Inner {
+                sweeps: HashMap::new(),
+                unclaimed: Vec::new(),
+                stats: SharedScanStats::default(),
+                #[cfg(test)]
+                panic_next_chunk: false,
+            }),
         }
+    }
+
+    /// Test hook: makes the next chunk a sweeper evaluates panic.
+    #[cfg(test)]
+    pub(crate) fn panic_next_chunk(&self) {
+        self.inner.lock().panic_next_chunk = true;
     }
 
     /// Snapshot of the executor's counters.
     pub(crate) fn stats(&self) -> SharedScanStats {
-        SharedScanStats {
-            sweeps_started: self.sweeps_started.load(Ordering::Relaxed),
-            queries_attached: self.queries_attached.load(Ordering::Relaxed),
-            late_attaches: self.late_attaches.load(Ordering::Relaxed),
-            wraparound_joins: self.wraparound_joins.load(Ordering::Relaxed),
-            chunks_swept: self.chunks_swept.load(Ordering::Relaxed),
-            rows_swept: self.rows_swept.load(Ordering::Relaxed),
-            bytes_swept: self.bytes_swept.load(Ordering::Relaxed),
-            relevance_redirects: self.relevance_redirects.load(Ordering::Relaxed),
-            deadline_detaches: self.deadline_detaches.load(Ordering::Relaxed),
-        }
+        self.inner.lock().stats.clone()
     }
 
     /// Attaches one statement's planned part to its sweep, registering a new
@@ -309,39 +298,28 @@ impl SharedScanRegistry {
     /// [`SharedScanRegistry::dispatch`].
     pub(crate) fn attach(
         &self,
-        table: &Arc<Table>,
         part: &Arc<PlannedPart>,
         collector: &Arc<Collector<ChunkRef>>,
     ) -> Option<DispatchTicket> {
         debug_assert!(!part.rows.is_empty(), "empty parts must not be attached");
         let item = Item { collector: Arc::clone(collector), delivered: false };
         let attached = Attached { part: Arc::clone(part), served: 0, item };
-        self.queries_attached.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        let key = part.key;
-        if let Some(sweep) = inner.sweeps.get(&key) {
-            // A sweep found under the registry lock cannot be closed: the
-            // sweeper sets `closed` and removes the map entry in one critical
-            // section of this same lock.
-            let mut state = sweep.state.lock();
-            debug_assert!(!state.closed);
-            state.pending.push(attached);
-            self.late_attaches.fetch_add(1, Ordering::Relaxed);
+        let inner = &mut *self.inner.lock();
+        inner.stats.queries_attached += 1;
+        if let Some(sweep) = inner.sweeps.get_mut(&part.key) {
+            sweep.pending.push(attached);
+            inner.stats.late_attaches += 1;
             return None;
         }
-        let sweep = Arc::new(PartSweep {
-            table: Arc::clone(table),
+        let sweep = Sweep {
             part: Arc::clone(part),
-            state: Mutex::new(SweepState {
-                cursor: 0,
-                active: Vec::new(),
-                pending: vec![attached],
-                closed: false,
-            }),
-        });
-        inner.sweeps.insert(key, sweep);
-        inner.unclaimed.push(key);
-        self.sweeps_started.fetch_add(1, Ordering::Relaxed);
+            cursor: 0,
+            active: Vec::new(),
+            pending: vec![attached],
+        };
+        inner.sweeps.insert(part.key, sweep);
+        inner.unclaimed.push(part.key);
+        inner.stats.sweeps_started += 1;
         Some(DispatchTicket { socket: part.socket })
     }
 
@@ -351,29 +329,25 @@ impl SharedScanRegistry {
     /// to completion. Tickets map 1:1 to unclaimed sweeps per socket, so the
     /// claim always succeeds; ties keep registration order.
     pub(crate) fn dispatch(&self, ticket: DispatchTicket) {
-        let sweep = {
-            let mut inner = self.inner.lock();
+        let part = {
+            let inner = &mut *self.inner.lock();
             let mut best: Option<(usize, u128)> = None;
             for (position, key) in inner.unclaimed.iter().enumerate() {
                 let sweep = &inner.sweeps[key];
                 if sweep.part.socket != ticket.socket {
                     continue;
                 }
-                let waiting = {
-                    let state = sweep.state.lock();
-                    state.pending.len() + state.active.len()
-                };
+                let waiting = sweep.pending.len() + sweep.active.len();
                 let score = waiting as u128 * u128::from(sweep.part.bytes);
                 let better = match best {
                     None => true,
                     Some((_, best_score)) => score > best_score,
                 };
                 if better {
-                    let redirected = best.is_some();
-                    if redirected {
+                    if best.is_some() {
                         // A younger sweep outranked the queue head; note the
                         // redirect once per overtake decision.
-                        self.relevance_redirects.fetch_add(1, Ordering::Relaxed);
+                        inner.stats.relevance_redirects += 1;
                     }
                     best = Some((position, score));
                 }
@@ -385,95 +359,78 @@ impl SharedScanRegistry {
                 return;
             };
             let key = inner.unclaimed.remove(position);
-            Arc::clone(&inner.sweeps[&key])
+            Arc::clone(&inner.sweeps[&key].part)
         };
-        self.run_sweep(&sweep);
+        self.run_sweep(&part);
     }
 
     /// The circular sweep loop: per chunk boundary, activate pending joiners
     /// (counting mid-column joins as wraparounds), close if nobody is
     /// waiting, otherwise evaluate the next chunk once for the whole active
     /// set and credit every query its prefix.
-    fn run_sweep(&self, sweep: &PartSweep) {
-        let _abort = SweepAbort { registry: self, sweep };
-        let geometry = &sweep.part;
-        let column = geometry.column(&sweep.table);
+    fn run_sweep(&self, geometry: &PlannedPart) {
+        let key = geometry.key;
+        let _abort = SweepAbort { registry: self, key };
+        let column = geometry.column(&self.table);
         let len = geometry.rows.len();
         loop {
             // -------- chunk boundary: joins, detaches, close --------
-            let (chunk, takes): (Range<usize>, Vec<usize>) = {
-                let mut state = sweep.state.lock();
-                if state.cursor == len {
-                    state.cursor = 0;
+            let (chunk, takes, waiters) = {
+                let inner = &mut *self.inner.lock();
+                let sweep = inner.sweeps.get_mut(&key).expect("only its sweeper removes a sweep");
+                if sweep.cursor == len {
+                    sweep.cursor = 0;
                 }
                 // Statements whose waiter is gone detach here, at the chunk
                 // boundary: nobody reads their collector any more, and the
                 // remaining active set keeps its served counts untouched.
-                let waiting = state.active.len() + state.pending.len();
-                state.active.retain(|attached| !attached.item.collector.token.is_cancelled());
-                state.pending.retain(|attached| !attached.item.collector.token.is_cancelled());
-                let detached = waiting - state.active.len() - state.pending.len();
-                if detached > 0 {
-                    self.deadline_detaches.fetch_add(detached as u64, Ordering::Relaxed);
-                }
-                if !state.pending.is_empty() {
-                    if state.cursor != 0 {
-                        self.wraparound_joins
-                            .fetch_add(state.pending.len() as u64, Ordering::Relaxed);
+                let waiting = sweep.active.len() + sweep.pending.len();
+                sweep.active.retain(|attached| !attached.item.collector.token.is_cancelled());
+                sweep.pending.retain(|attached| !attached.item.collector.token.is_cancelled());
+                inner.stats.deadline_detaches +=
+                    (waiting - sweep.active.len() - sweep.pending.len()) as u64;
+                if !sweep.pending.is_empty() {
+                    if sweep.cursor != 0 {
+                        inner.stats.wraparound_joins += sweep.pending.len() as u64;
                     }
-                    let mut joiners = std::mem::take(&mut state.pending);
-                    state.active.append(&mut joiners);
+                    sweep.active.append(&mut sweep.pending);
                 }
-                if state.active.is_empty() {
-                    // Nobody waiting: close under registry-then-state order
-                    // so attachers either find the sweep or a clean slot.
-                    drop(state);
-                    let mut inner = self.inner.lock();
-                    let mut state = sweep.state.lock();
-                    if state.active.is_empty() && state.pending.is_empty() {
-                        state.closed = true;
-                        inner.sweeps.remove(&geometry.key);
-                        return;
-                    }
-                    continue;
+                if sweep.active.is_empty() {
+                    // Nobody waiting: an attacher either joined before this
+                    // critical section or registers a fresh sweep after it.
+                    inner.sweeps.remove(&key);
+                    return;
                 }
-                let start = state.cursor;
+                let start = sweep.cursor;
                 // Clamp the chunk to the longest remaining need so the final
                 // chunk of a pass ends exactly at the last row any attached
                 // query still wants — no row is swept that nobody asked for.
-                let needed = state.active.iter().map(|a| len - a.served).max().unwrap_or(0);
+                let needed = sweep.active.iter().map(|a| len - a.served).max().unwrap_or(0);
                 let end = (start + self.chunk_rows.min(needed)).min(len);
-                state.cursor = end;
+                sweep.cursor = end;
                 let chunk_len = end - start;
                 // Chunk-boundary activation means every active query's next
                 // unserved row is exactly `start`; its share of this chunk is
                 // a prefix (shorter than the chunk only on its final chunk).
-                let takes = state.active.iter().map(|a| (len - a.served).min(chunk_len)).collect();
-                (start..end, takes)
+                let takes: Vec<usize> =
+                    sweep.active.iter().map(|a| (len - a.served).min(chunk_len)).collect();
+                // Only this sweeper mutates `active`, so the snapshot stays
+                // index-aligned with it until the credit below.
+                let waiters: Vec<(Arc<PlannedPart>, Arc<Collector<ChunkRef>>)> = sweep
+                    .active
+                    .iter()
+                    .map(|a| (Arc::clone(&a.part), Arc::clone(&a.item.collector)))
+                    .collect();
+                (start..end, takes, waiters)
             };
 
             // -------- evaluate the chunk once for the whole set --------
             #[cfg(test)]
-            if std::mem::take(&mut *self.panic_next_chunk.lock()) {
+            if std::mem::take(&mut self.inner.lock().panic_next_chunk) {
                 panic!("injected sweep panic");
             }
-            let chunk_len = chunk.len();
-            self.chunks_swept.fetch_add(1, Ordering::Relaxed);
-            self.rows_swept.fetch_add(chunk_len as u64, Ordering::Relaxed);
-            self.bytes_swept.fetch_add(column.iv_scan_bytes(chunk_len), Ordering::Relaxed);
             let scan_lo = geometry.local_base + chunk.start;
             let scan_hi = geometry.local_base + chunk.end;
-            let waiters: Vec<(Arc<PlannedPart>, Arc<Collector<ChunkRef>>)> = {
-                // `active` is only mutated by this sweeper, so the snapshot
-                // taken at the boundary stays index-aligned; re-locking here
-                // only synchronizes with attachers touching `pending`.
-                let state = sweep.state.lock();
-                state
-                    .active
-                    .iter()
-                    .map(|a| (Arc::clone(&a.part), Arc::clone(&a.item.collector)))
-                    .collect()
-            };
             // A hot waiting set re-issues the same few statements over and
             // over; identical predicates collapse to one kernel lane and the
             // result fans out to every query that asked for it.
@@ -509,12 +466,16 @@ impl SharedScanRegistry {
                 }
             }
 
-            // -------- credit served rows, detach completed queries --------
-            let mut state = sweep.state.lock();
-            for (attached, take) in state.active.iter_mut().zip(&takes) {
+            // -------- count the chunk, credit rows, detach completed queries --------
+            let inner = &mut *self.inner.lock();
+            inner.stats.chunks_swept += 1;
+            inner.stats.rows_swept += chunk.len() as u64;
+            inner.stats.bytes_swept += column.iv_scan_bytes(chunk.len());
+            let sweep = inner.sweeps.get_mut(&key).expect("only its sweeper removes a sweep");
+            for (attached, take) in sweep.active.iter_mut().zip(&takes) {
                 attached.served += take;
             }
-            state.active.retain_mut(|attached| {
+            sweep.active.retain_mut(|attached| {
                 attached.item.delivered = attached.served == len;
                 !attached.item.delivered
             });
@@ -563,7 +524,7 @@ mod tests {
         hi: i64,
     ) -> (Arc<Collector<ChunkRef>>, Option<DispatchTicket>) {
         let collector = Arc::new(Collector::new(1));
-        let ticket = registry.attach(table, &part_for(table, key, lo, hi), &collector);
+        let ticket = registry.attach(&part_for(table, key, lo, hi), &collector);
         (collector, ticket)
     }
 
@@ -580,7 +541,7 @@ mod tests {
     #[test]
     fn a_single_sweep_serves_every_attached_query_exactly() {
         let table = test_table(10_000);
-        let registry = SharedScanRegistry::new(512);
+        let registry = SharedScanRegistry::new(&table, 512);
         let key = SweepKey { column: 0, generation: 0, part: 0 };
         let (first, ticket) = attach_query(&registry, &table, key, 100, 199);
         let ticket = ticket.expect("first attach registers the sweep");
@@ -594,24 +555,29 @@ mod tests {
         assert_eq!(stats.queries_attached, 2);
         assert_eq!(stats.late_attaches, 1);
         assert_eq!(stats.wraparound_joins, 0, "both queries joined at row 0");
-        // One pass of 10_000 rows in 512-row chunks, read once for both.
+        // One pass of 10_000 rows in 512-row chunks, read once for both: 19
+        // full chunks and a short last one.
         assert_eq!(stats.rows_swept, 10_000);
+        assert_eq!(stats.chunks_swept, 20);
+        let column = table.column_by_name("v").unwrap().1;
+        let pass_bytes: u64 = (0..10_000)
+            .step_by(512)
+            .map(|start| column.iv_scan_bytes((10_000 - start).min(512)))
+            .sum();
+        assert_eq!(stats.bytes_swept, pass_bytes);
         assert!(registry.inner.lock().sweeps.is_empty(), "the sweep must close after serving");
     }
 
     #[test]
     fn mid_column_joins_cover_the_tail_then_wrap_around() {
         let table = test_table(8_000);
-        let registry = SharedScanRegistry::new(256);
+        let registry = SharedScanRegistry::new(&table, 256);
         let key = SweepKey { column: 0, generation: 0, part: 0 };
         let (early, ticket) = attach_query(&registry, &table, key, 50, 120);
         let ticket = ticket.expect("first attach registers the sweep");
         // Simulate an in-flight sweep: advance the cursor to mid-column
         // before the joiners activate, as if earlier chunks had been served.
-        {
-            let inner = registry.inner.lock();
-            inner.sweeps[&key].state.lock().cursor = 3_000;
-        }
+        registry.inner.lock().sweeps.get_mut(&key).unwrap().cursor = 3_000;
         let (late, none) = attach_query(&registry, &table, key, 200, 260);
         assert!(none.is_none());
         registry.dispatch(ticket);
@@ -628,7 +594,7 @@ mod tests {
     #[test]
     fn a_cancelled_attachment_is_purged_without_starving_the_rest() {
         let table = test_table(6_000);
-        let registry = SharedScanRegistry::new(512);
+        let registry = SharedScanRegistry::new(&table, 512);
         let key = SweepKey { column: 0, generation: 0, part: 0 };
         let (expired, ticket) = attach_query(&registry, &table, key, 100, 199);
         let ticket = ticket.expect("first attach registers the sweep");
@@ -648,7 +614,7 @@ mod tests {
     #[test]
     fn a_sweep_whose_every_waiter_expired_closes_without_work() {
         let table = test_table(4_000);
-        let registry = SharedScanRegistry::new(256);
+        let registry = SharedScanRegistry::new(&table, 256);
         let key = SweepKey { column: 0, generation: 0, part: 0 };
         let (gone, ticket) = attach_query(&registry, &table, key, 0, 99);
         gone.token.cancel();
@@ -662,7 +628,7 @@ mod tests {
     #[test]
     fn relevance_policy_picks_the_thickest_waiting_set() {
         let table = test_table(4_000);
-        let registry = SharedScanRegistry::new(1 << 20);
+        let registry = SharedScanRegistry::new(&table, 1 << 20);
         let thin = SweepKey { column: 0, generation: 0, part: 0 };
         let thick = SweepKey { column: 0, generation: 0, part: 1 };
         let (thin_out, thin_ticket) = attach_query(&registry, &table, thin, 0, 10);
@@ -679,5 +645,36 @@ mod tests {
         registry.dispatch(thick_ticket.unwrap());
         assert_eq!(wait(&table, &thin_out), oracle(&table, 0, 10));
         assert!(registry.inner.lock().sweeps.is_empty());
+    }
+
+    #[test]
+    fn concurrent_attaches_racing_sweep_closes_are_all_served() {
+        // Four clients re-attach to one part as soon as each answer returns,
+        // so attaches keep landing next to the boundary where the sweep
+        // finds nobody waiting and closes.
+        let table = test_table(4_000);
+        let registry = SharedScanRegistry::new(&table, 64);
+        let key = SweepKey { column: 0, generation: 0, part: 0 };
+        std::thread::scope(|scope| {
+            for client in 0..4i64 {
+                let (registry, table) = (&registry, &table);
+                scope.spawn(move || {
+                    for round in 0..25 {
+                        let lo = (client * 25 + round) * 37 % 450;
+                        let (collector, ticket) = attach_query(registry, table, key, lo, lo + 40);
+                        if let Some(ticket) = ticket {
+                            scope.spawn(move || registry.dispatch(ticket));
+                        }
+                        assert_eq!(wait(table, &collector), oracle(table, lo, lo + 40));
+                    }
+                });
+            }
+        });
+        let inner = registry.inner.lock();
+        assert!(inner.sweeps.is_empty(), "every sweep must close");
+        assert!(inner.unclaimed.is_empty(), "every ticket must be dispatched");
+        let stats = &inner.stats;
+        assert_eq!(stats.queries_attached, 100);
+        assert_eq!(stats.queries_attached, stats.sweeps_started + stats.late_attaches);
     }
 }
