@@ -45,7 +45,12 @@
 //! physically rebuilt parts are shared through `Arc`), while rebalance
 //! actions take the write lock. Statements already in flight keep scanning
 //! the snapshot they took — exactly the "queries keep running while data
-//! moves" behaviour the paper's adaptive design requires.
+//! moves" behaviour the paper's adaptive design requires. Each column's
+//! placement carries its own generation, bumped under the write lock by
+//! every action that changes that column and cloned with the snapshot, so
+//! shared sweeps key on (column, generation, part): statements planned
+//! before and after a change never join one sweep, while a change to one
+//! column leaves every other column's sweeps joinable.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,6 +127,9 @@ struct ColumnPart {
 #[derive(Debug, Clone)]
 struct ColumnPlacement {
     parts: Vec<ColumnPart>,
+    /// Bumped (under the placement write lock) on every change to this
+    /// column's placement, so shared sweeps key on one placement snapshot.
+    generation: u64,
 }
 
 impl ColumnPlacement {
@@ -465,9 +473,6 @@ pub struct NativeEngine {
     hint: ConcurrencyHint,
     sockets: usize,
     placements: RwLock<Vec<ColumnPlacement>>,
-    /// Bumped (under the placement write lock) on every placement change, so
-    /// shared sweeps key on a placement snapshot and never mix two layouts.
-    placement_generation: AtomicU64,
     telemetry: Telemetry,
     statement_epoch: AtomicU64,
     shared: Arc<SharedScanRegistry>,
@@ -505,7 +510,6 @@ impl NativeEngine {
             hint: ConcurrencyHint::new(topology.total_contexts()),
             sockets,
             placements: RwLock::new(placements),
-            placement_generation: AtomicU64::new(0),
             statement_epoch: AtomicU64::new(0),
             shared: Arc::new(SharedScanRegistry::new(&table, config.shared_scans.chunk_rows)),
             shared_mode: config.shared_scans.mode,
@@ -527,6 +531,7 @@ impl NativeEngine {
                     socket: SocketId((column % sockets) as u16),
                     data: None,
                 }],
+                generation: 0,
             },
             PlacementStrategy::IndexVectorPartitioned { parts } => {
                 Self::ivp_placement(rows, parts, column, sockets)
@@ -549,7 +554,7 @@ impl NativeEngine {
                 data: None,
             })
             .collect();
-        ColumnPlacement { parts }
+        ColumnPlacement { parts, generation: 0 }
     }
 
     /// Physically rebuilt parts, spread like IVP parts.
@@ -570,7 +575,7 @@ impl NativeEngine {
                 data: Some(Arc::new(part.column)),
             })
             .collect();
-        ColumnPlacement { parts }
+        ColumnPlacement { parts, generation: 0 }
     }
 
     /// The table the engine serves.
@@ -669,15 +674,8 @@ impl NativeEngine {
                 Some(AggTarget { value, group, capacity })
             }
         };
-        let (placement, generation) = {
-            let placements = self.placements.read();
-            // Read under the same lock that writers hold while bumping, so
-            // the generation always matches the snapshot.
-            (
-                placements[column_id.index()].clone(),
-                self.placement_generation.load(Ordering::SeqCst),
-            )
-        };
+        let ColumnPlacement { parts: placed, generation } =
+            self.placements.read()[column_id.index()].clone();
         let epoch = self.statement_epoch.fetch_add(1, Ordering::SeqCst);
         // The statement registers on its columns before any byte is
         // recorded, so an epoch snapshot taken mid-statement can never show a
@@ -690,9 +688,9 @@ impl NativeEngine {
         }
 
         let predicate = request.predicate();
-        let placement_parts = placement.parts.len();
+        let placement_parts = placed.len();
         let mut parts = Vec::with_capacity(placement_parts);
-        for (index, part) in placement.parts.into_iter().enumerate() {
+        for (index, part) in placed.into_iter().enumerate() {
             if part.rows.is_empty() {
                 continue;
             }
@@ -967,12 +965,12 @@ impl NativeEngine {
 
     /// Moves every part of a column to `to` (consolidation onto one socket).
     pub fn move_column_to(&self, column: ColumnId, to: SocketId) {
-        let mut placements = self.placements.write();
+        let placement = &mut self.placements.write()[column.index()];
         // Bumped under the write lock (as below): in-flight shared sweeps
         // keyed on the old generation finish on their snapshot, while new
         // statements start sweeps keyed on the new one — the two never mix.
-        self.placement_generation.fetch_add(1, Ordering::SeqCst);
-        for part in &mut placements[column.index()].parts {
+        placement.generation += 1;
+        for part in &mut placement.parts {
             part.socket = to;
         }
     }
@@ -983,9 +981,8 @@ impl NativeEngine {
     pub fn repartition_ivp(&self, column: ColumnId, parts: usize) {
         let placement =
             Self::ivp_placement(self.table.row_count(), parts, column.index(), self.sockets);
-        let mut placements = self.placements.write();
-        self.placement_generation.fetch_add(1, Ordering::SeqCst);
-        placements[column.index()] = placement;
+        let slot = &mut self.placements.write()[column.index()];
+        *slot = ColumnPlacement { generation: slot.generation + 1, ..placement };
     }
 
     /// Physically rebuilds a column into `parts` self-contained columns
@@ -996,9 +993,8 @@ impl NativeEngine {
         // old placement while the parts are constructed.
         let placement =
             Self::pp_placement(self.table.column(column), parts, column.index(), self.sockets);
-        let mut placements = self.placements.write();
-        self.placement_generation.fetch_add(1, Ordering::SeqCst);
-        placements[column.index()] = placement;
+        let slot = &mut self.placements.write()[column.index()];
+        *slot = ColumnPlacement { generation: slot.generation + 1, ..placement };
     }
 
     /// Re-encodes one placement part of a column into a different physical
@@ -1007,10 +1003,12 @@ impl NativeEngine {
     /// rebuilt into a self-contained part column (the base column stays
     /// untouched for every other part), a physically rebuilt part converts a
     /// copy; either way the rebuild runs outside the placement lock and the
-    /// swap bumps the placement generation, so in-flight statements and
-    /// shared sweeps finish on the snapshot they took. Returns whether the
-    /// part changed (`false` when it is already in the requested layout, the
-    /// part index is stale, or a concurrent repartition replaced the part).
+    /// swap bumps the column's placement generation, so in-flight statements
+    /// and shared sweeps finish on the snapshot they took, new statements on
+    /// the column start fresh sweeps, and other columns' sweeps are
+    /// untouched. Returns whether the part changed (`false` when it is
+    /// already in the requested layout, the part index is stale, or a
+    /// concurrent repartition replaced the part).
     pub fn relayout_part(&self, column: ColumnId, part: usize, layout: IvLayoutKind) -> bool {
         let (rows, data) = {
             let placements = self.placements.read();
@@ -1043,15 +1041,15 @@ impl NativeEngine {
                 Arc::new(col)
             }
         };
-        let mut placements = self.placements.write();
-        let Some(p) = placements[column.index()].parts.get_mut(part) else { return false };
+        let placement = &mut self.placements.write()[column.index()];
+        let Some(p) = placement.parts.get_mut(part) else { return false };
         if p.rows != rows {
             // The placement changed while we rebuilt; the advisor will see
             // the new placement's stats next epoch.
             return false;
         }
-        self.placement_generation.fetch_add(1, Ordering::SeqCst);
         p.data = Some(rebuilt);
+        placement.generation += 1;
         true
     }
 
@@ -1450,6 +1448,29 @@ mod tests {
             "the dominating hot column should be IVP-partitioned, got {action:?}"
         );
         assert!(engine.column_partitions(payload) > 1);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_placement_change_rekeys_only_the_changed_columns_sweeps() {
+        let engine = NativeEngine::with_config(
+            table(8_000),
+            &small_topology(),
+            NativeEngineConfig {
+                placement: PlacementStrategy::IndexVectorPartitioned { parts: 2 },
+                ..Default::default()
+            },
+        );
+        let (id, payload) = (ColumnId(0), ColumnId(1));
+        let request = ScanRequest::between("payload", 0, 999);
+        let keys =
+            || engine.plan(&request).unwrap().parts.iter().map(|p| p.key).collect::<Vec<_>>();
+        let before = keys();
+        assert_eq!(before.len(), 2);
+        engine.move_column_to(id, SocketId(2));
+        assert_eq!(keys(), before, "moving another column must leave these sweeps joinable");
+        engine.move_column_to(payload, SocketId(2));
+        assert_ne!(keys(), before, "moving this column must start fresh sweeps");
         engine.shutdown();
     }
 

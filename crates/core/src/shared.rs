@@ -136,14 +136,15 @@ pub struct SharedScanStats {
     pub deadline_detaches: u64,
 }
 
-/// Identity of one sweep: a column part under one placement snapshot. The
-/// generation is bumped on every placement change, so a sweep can never mix
-/// rows from two different placements of the same column.
+/// Identity of one sweep: a column part under one placement snapshot. Every
+/// change to a column's placement bumps that column's generation, so a sweep
+/// can never mix rows from two different placements of the same column, and
+/// a change to one column leaves every other column's sweeps joinable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct SweepKey {
     /// Column index in the table.
     pub column: usize,
-    /// Placement generation the part belongs to.
+    /// Generation of the column's placement the part belongs to.
     pub generation: u64,
     /// Part index within the column's placement.
     pub part: usize,
