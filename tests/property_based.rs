@@ -832,6 +832,7 @@ proptest! {
 
         let shared = session.shared_scan_stats();
         prop_assert!(shared.rows_swept > 0, "Always mode must route through the executor");
+        prop_assert_eq!(shared.queries_attached, shared.sweeps_started + shared.late_attaches);
         let stats = session.engine().scheduler_stats();
         prop_assert_eq!(stats.affinity_violations, 0);
         session.shutdown();

@@ -251,6 +251,8 @@ fn tiny_chunks_with_staggered_clients_stay_exact() {
     });
     let shared = session.shared_scan_stats();
     assert!(shared.chunks_swept >= shared.sweeps_started, "{shared:?}");
+    // Every attachment either started a sweep or joined one in flight.
+    assert_eq!(shared.queries_attached, shared.sweeps_started + shared.late_attaches, "{shared:?}");
     session.shutdown();
 }
 
