@@ -1,6 +1,6 @@
 //! The virtual-time simulation engine.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use numascan_numasim::bandwidth::MemoryDemand;
 use numascan_numasim::{Machine, SocketId};
@@ -306,8 +306,9 @@ impl<'a> SimEngine<'a> {
                 }
             }
 
-            // 2. Collect bandwidth demand classes from running workers.
-            let mut classes: HashMap<(u16, u16), f64> = HashMap::new();
+            // 2. Collect bandwidth demand classes from running workers. A
+            // `BTreeMap`, so the solver sees them in one order on every run.
+            let mut classes: BTreeMap<(u16, u16), f64> = BTreeMap::new();
             let mut running = 0usize;
             for w in &workers {
                 if let Some(task) = &w.task {
@@ -494,8 +495,11 @@ impl<'a> SimEngine<'a> {
         self.machine.counters_mut().elapsed_seconds = now;
         let throughput_qpm = if now > 0.0 { completed as f64 / now * 60.0 } else { 0.0 };
         let mut column_traffic: Vec<ColumnTraffic> = column_traffic.into_values().collect();
-        column_traffic
-            .sort_by(|a, b| b.total_bytes().partial_cmp(&a.total_bytes()).expect("finite traffic"));
+        column_traffic.sort_by(|a, b| {
+            b.total_bytes()
+                .total_cmp(&a.total_bytes())
+                .then((a.column.table, a.column.column).cmp(&(b.column.table, b.column.column)))
+        });
         SimReport {
             completed_queries: completed,
             elapsed_seconds: now,
@@ -765,5 +769,25 @@ mod tests {
         };
         let report = SimEngine::new(&mut machine, &catalog, config).run(&mut generator);
         assert!(report.elapsed_seconds <= 0.05 + 1e-6);
+    }
+
+    #[test]
+    fn identical_runs_produce_identical_reports() {
+        // Enough clients on enough columns that many demand classes compete
+        // for bandwidth at once: the solver must see them in one order.
+        let run = || {
+            let (mut machine, catalog) = build(8, 10_000_000, PlacementStrategy::RoundRobin);
+            let mut generator = RoundRobinColumnGenerator::new(0, 8, 0.001, false);
+            let config = SimConfig {
+                strategy: SchedulingStrategy::Os,
+                clients: 256,
+                target_queries: 1_200,
+                ..SimConfig::default()
+            };
+            SimEngine::new(&mut machine, &catalog, config).run(&mut generator)
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.elapsed_seconds.to_bits(), second.elapsed_seconds.to_bits());
+        assert_eq!(first.latencies_seconds, second.latencies_seconds);
     }
 }
