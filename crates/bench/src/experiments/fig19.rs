@@ -60,16 +60,15 @@ fn run_benchmark(
         for (i, cube) in cubes.iter().enumerate() {
             // Distribute the cubes' partitions round-robin around the sockets.
             let offset = (i * parts) % sockets;
-            let placed = PlacedTable::place_with_offset(&mut machine, cube, placement, offset)
-                .expect("placement must succeed");
+            let placed =
+                PlacedTable::place_with_offset(machine.topology(), cube, placement, offset);
             tables.push(catalog.add_table(placed));
         }
         Box::new(BwEmlWorkload::new(tables, 0xB3))
     } else {
         let sf = (scale.rows / 6_000_000).max(1);
         let lineitem = lineitem_table_spec(sf);
-        let placed =
-            PlacedTable::place(&mut machine, &lineitem, placement).expect("placement must succeed");
+        let placed = PlacedTable::place(machine.topology(), &lineitem, placement);
         catalog.add_table(placed);
         Box::new(TpchQ1Workload::new(0, 0x71))
     };

@@ -61,11 +61,9 @@ pub fn build_machine_and_catalog(
     config: &ScanRunConfig,
     scale: &ExperimentScale,
 ) -> (Machine, Catalog) {
-    let mut machine = Machine::new(config.topology.clone());
     let spec = paper_table_spec(scale.rows, scale.payload_columns, config.with_index);
-    let catalog =
-        build_catalog(&mut machine, &spec, config.placement).expect("placement must succeed");
-    (machine, catalog)
+    let catalog = build_catalog(&config.topology, &spec, config.placement);
+    (Machine::new(config.topology.clone()), catalog)
 }
 
 /// Runs one scan-experiment data point and returns the simulation report.

@@ -24,7 +24,7 @@
 //!    and scan footprint; hot short-run parts stuck on RLE go back to the
 //!    bit-packed layout the SWAR kernels scan fastest.
 
-use numascan_numasim::{Machine, Result, SocketId, Topology};
+use numascan_numasim::{SocketId, Topology};
 use numascan_storage::IvLayoutKind;
 
 use crate::catalog::Catalog;
@@ -192,11 +192,9 @@ impl AdaptiveDataPlacer {
             .iter()
             .map(|traffic| {
                 let column = catalog.column(traffic.column);
-                let primary_socket =
-                    column.iv_psm.majority_socket().unwrap_or(numascan_numasim::SocketId(0));
                 ColumnHeat {
                     column: traffic.column,
-                    primary_socket,
+                    primary_socket: column.primary_socket(),
                     heat: if total > 0.0 { traffic.total_bytes() / total } else { 0.0 },
                     // The simulator's traffic model has no fused aggregation
                     // pipelines; only the native engine reports gather bytes.
@@ -215,15 +213,15 @@ impl AdaptiveDataPlacer {
     /// measurement, decide, and apply the decision. Returns the action taken.
     pub fn rebalance_step(
         &self,
-        machine: &mut Machine,
+        topology: &Topology,
         catalog: &mut Catalog,
         report: &SimReport,
-    ) -> Result<PlacerAction> {
-        let utilization = Self::utilization_from_report(report, machine.topology());
+    ) -> PlacerAction {
+        let utilization = Self::utilization_from_report(report, topology);
         let heats = Self::heats_from_report(report, catalog);
         let action = self.decide(&utilization, &heats);
-        self.apply(machine, catalog, &action)?;
-        Ok(action)
+        self.apply(topology, catalog, &action);
+        action
     }
 
     /// Runs one step of the Figure 20 flowchart and returns the decision.
@@ -324,44 +322,31 @@ impl AdaptiveDataPlacer {
         PlacerAction::None
     }
 
-    /// Applies a decision to the catalog on the given machine.
-    pub fn apply(
-        &self,
-        machine: &mut Machine,
-        catalog: &mut Catalog,
-        action: &PlacerAction,
-    ) -> Result<()> {
+    /// Applies a decision to the catalog on a machine of the given topology.
+    pub fn apply(&self, topology: &Topology, catalog: &mut Catalog, action: &PlacerAction) {
         match action {
-            PlacerAction::None => Ok(()),
+            PlacerAction::None => {}
             PlacerAction::MoveColumn { column, to } => {
-                let col = catalog.column_mut(*column);
-                move_column_to(machine, col, *to)
+                move_column_to(catalog.column_mut(*column), *to);
             }
             PlacerAction::RepartitionIvp { column, parts }
             | PlacerAction::DecreasePartitions { column, parts } => {
-                let col = catalog.column_mut(*column);
-                repartition_ivp(machine, col, column.column, *parts)
+                repartition_ivp(topology, catalog.column_mut(*column), column.column, *parts);
             }
             PlacerAction::RepartitionPp { column, parts } => {
                 // Physical repartitioning rebuilds the column's components; we
-                // re-place the column from its spec and swap it in. The old
-                // allocation is released.
-                let all_sockets: Vec<SocketId> = machine.topology().socket_ids().collect();
+                // re-place the column from its spec and swap it in.
+                let all_sockets: Vec<SocketId> = topology.socket_ids().collect();
                 let spec = catalog.column(*column).spec.clone();
-                let old_ranges = catalog.column(*column).allocations.clone();
-                for r in old_ranges {
-                    machine.memory_mut().free(r)?;
-                }
-                let new_col = place_column_pp(machine, &spec, *parts, &all_sockets, column.column)?;
-                *catalog.column_mut(*column) = new_col;
+                *catalog.column_mut(*column) =
+                    place_column_pp(&spec, *parts, &all_sockets, column.column);
                 catalog.table_mut(column.table).strategy =
                     PlacementStrategy::PhysicallyPartitioned { parts: *parts };
-                Ok(())
             }
             // The simulated catalog tracks component sizes and placement,
             // not physical encodings — layout changes are a native-engine
             // concern ([`crate::native::NativeEngine::relayout_part`]).
-            PlacerAction::Relayout { .. } => Ok(()),
+            PlacerAction::Relayout { .. } => {}
         }
     }
 }
@@ -543,42 +528,35 @@ mod tests {
 
     #[test]
     fn apply_move_and_ivp_actions_update_the_catalog() {
-        use numascan_numasim::Topology;
-        let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
+        let topology = Topology::four_socket_ivybridge_ex();
         let spec = TableSpec::new(
             "t",
             4_000_000,
             vec![ColumnSpec::integer_with_bitcase("hot", 4_000_000, 20, false)],
         );
-        let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+        let table = PlacedTable::place(&topology, &spec, PlacementStrategy::RoundRobin);
         let mut catalog = Catalog::new();
         catalog.add_table(table);
         let placer = AdaptiveDataPlacer::default();
         let column = ColumnRef { table: 0, column: 0 };
 
-        placer
-            .apply(
-                &mut machine,
-                &mut catalog,
-                &PlacerAction::MoveColumn { column, to: SocketId(2) },
-            )
-            .unwrap();
-        assert_eq!(catalog.column(column).iv_psm.majority_socket(), Some(SocketId(2)));
+        placer.apply(
+            &topology,
+            &mut catalog,
+            &PlacerAction::MoveColumn { column, to: SocketId(2) },
+        );
+        assert_eq!(catalog.column(column).primary_socket(), SocketId(2));
 
-        placer
-            .apply(&mut machine, &mut catalog, &PlacerAction::RepartitionIvp { column, parts: 4 })
-            .unwrap();
+        placer.apply(&topology, &mut catalog, &PlacerAction::RepartitionIvp { column, parts: 4 });
         assert_eq!(catalog.column(column).iv_segments.len(), 4);
 
-        placer
-            .apply(&mut machine, &mut catalog, &PlacerAction::RepartitionPp { column, parts: 2 })
-            .unwrap();
+        placer.apply(&topology, &mut catalog, &PlacerAction::RepartitionPp { column, parts: 2 });
         assert_eq!(catalog.column(column).dict_segments.len(), 2);
     }
 
     #[test]
     fn utilization_derivation_uses_local_bandwidth() {
-        use numascan_numasim::{HwCounters, Topology};
+        use numascan_numasim::HwCounters;
         let topology = Topology::four_socket_ivybridge_ex();
         let mut counters = HwCounters::new(&topology);
         counters.elapsed_seconds = 1.0;
@@ -602,11 +580,11 @@ mod tests {
     fn closed_loop_rebalance_partitions_a_measured_hotspot() {
         use crate::query::{FixedQueryGenerator, QuerySpec};
         use crate::sim::{SimConfig, SimEngine};
-        use numascan_numasim::Topology;
+        use numascan_numasim::Machine;
         use numascan_scheduler::SchedulingStrategy;
 
         let topology = Topology::four_socket_ivybridge_ex();
-        let mut machine = Machine::new(topology);
+        let mut machine = Machine::new(topology.clone());
         let spec = TableSpec::new(
             "t",
             2_000_000,
@@ -614,7 +592,7 @@ mod tests {
                 .map(|i| ColumnSpec::integer_with_bitcase(format!("c{i}"), 2_000_000, 20, false))
                 .collect(),
         );
-        let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+        let table = PlacedTable::place(&topology, &spec, PlacementStrategy::RoundRobin);
         let mut catalog = Catalog::new();
         catalog.add_table(table);
 
@@ -635,7 +613,7 @@ mod tests {
 
         // One closed-loop rebalance step partitions it with IVP.
         let placer = AdaptiveDataPlacer::default();
-        let action = placer.rebalance_step(&mut machine, &mut catalog, &report).unwrap();
+        let action = placer.rebalance_step(&topology, &mut catalog, &report);
         assert!(
             matches!(action, PlacerAction::RepartitionIvp { column, .. } if column == hot),
             "expected the hot column to be IVP-partitioned, got {action:?}"

@@ -2,8 +2,9 @@
 //!
 //! The catalog (Section 7, Figure 20) holds information about the tables,
 //! their columns and whether a table is physically partitioned; through it the
-//! PSM of any column component can be reached, so task creators can consult
-//! the physical location of the data they are about to process.
+//! placement segments of any column component can be reached — they play the
+//! paper's PSM role — so task creators can consult the physical location of
+//! the data they are about to process.
 
 use crate::placement::{PlacedColumn, PlacedTable};
 use crate::query::ColumnRef;
@@ -84,10 +85,9 @@ mod tests {
     use super::*;
     use crate::placement::PlacementStrategy;
     use crate::spec::{ColumnSpec, TableSpec};
-    use numascan_numasim::{Machine, Topology};
+    use numascan_numasim::Topology;
 
     fn catalog() -> Catalog {
-        let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
         let spec = TableSpec::new(
             "t",
             1_000_000,
@@ -95,7 +95,11 @@ mod tests {
                 .map(|i| ColumnSpec::integer_with_bitcase(format!("c{i}"), 1_000_000, 17, false))
                 .collect(),
         );
-        let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+        let table = PlacedTable::place(
+            &Topology::four_socket_ivybridge_ex(),
+            &spec,
+            PlacementStrategy::RoundRobin,
+        );
         let mut cat = Catalog::new();
         cat.add_table(table);
         cat

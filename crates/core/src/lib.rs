@@ -9,8 +9,9 @@
 //!   columns (row counts, distinct values, bitcases, component sizes).
 //! * [`placement`] — the three data placement strategies of Section 4.2
 //!   (round-robin **RR**, index-vector partitioning **IVP**, physical
-//!   partitioning **PP**), realised against the virtual NUMA machine and
-//!   tracked with PSMs.
+//!   partitioning **PP**), realised against the virtual NUMA machine. Each
+//!   placement's segments record where its components live, the role the
+//!   paper gives the Page Socket Mapping (PSM).
 //! * [`catalog`] — the catalog of placed tables (Section 7, Figure 20).
 //! * [`query`] — query specifications and the generator interface used by the
 //!   workload crate.
@@ -19,7 +20,8 @@
 //!   operations).
 //! * [`planner`] — NUMA-aware scheduling of scans (Section 5.2): splitting
 //!   the two execution phases (finding qualifying matches, output
-//!   materialization) into tasks whose affinities are derived from the PSMs.
+//!   materialization) into tasks whose affinities are derived from the
+//!   placement segments.
 //! * [`sim`] — the virtual-time execution engine that runs concurrent clients
 //!   against the contention model and produces throughput, latency and
 //!   hardware-counter reports.

@@ -15,12 +15,13 @@
 //!   socket. The per-part dictionaries duplicate recurring values, which costs
 //!   memory (Section 6.2.3).
 //!
-//! Every placed component is tracked with a [`Psm`] so the planner can derive
-//! task affinities from the physical location of the data.
+//! The segments are the simulator's one record of where a component lives:
+//! they play the role the paper gives the Page Socket Mapping (PSM, Section
+//! 4.3), so the planner derives task affinities from them.
 
-use numascan_numasim::memman::{AllocPolicy, VirtRange};
-use numascan_numasim::{Machine, Result, SocketId};
-use numascan_psm::Psm;
+use std::collections::BTreeMap;
+
+use numascan_numasim::{SocketId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::spec::{ColumnSpec, TableSpec};
@@ -78,9 +79,9 @@ pub enum ComponentLocation {
 pub struct IvSegment {
     /// Rows covered by the segment.
     pub rows: std::ops::Range<u64>,
-    /// Virtual address range of the segment.
-    pub range: VirtRange,
-    /// Socket holding the segment's pages.
+    /// Size of the segment in bytes.
+    pub bytes: u64,
+    /// Socket holding the segment.
     pub socket: SocketId,
 }
 
@@ -89,9 +90,7 @@ pub struct IvSegment {
 pub struct ComponentSegment {
     /// Rows whose materialization / lookups hit this component.
     pub rows: std::ops::Range<u64>,
-    /// Virtual address range of the component.
-    pub range: VirtRange,
-    /// Where the component's pages live.
+    /// Where the component lives.
     pub location: ComponentLocation,
     /// Size of the component in bytes.
     pub bytes: u64,
@@ -112,16 +111,6 @@ pub struct PlacedColumn {
     pub dict_segments: Vec<ComponentSegment>,
     /// Inverted-index components (empty when the column has no index).
     pub ix_segments: Vec<ComponentSegment>,
-    /// PSM of the index vector.
-    pub iv_psm: Psm,
-    /// PSM of the dictionary.
-    pub dict_psm: Psm,
-    /// PSM of the inverted index, when present.
-    pub ix_psm: Option<Psm>,
-    /// The original allocation ranges of every component, used to release the
-    /// column's memory when it is physically rebuilt. (Repartitioning with
-    /// IVP moves pages within these allocations and does not change them.)
-    pub allocations: Vec<VirtRange>,
 }
 
 impl PlacedColumn {
@@ -139,18 +128,23 @@ impl PlacedColumn {
         self.dict_segments.iter().find(|s| s.rows.contains(&row)).unwrap_or(&self.dict_segments[0])
     }
 
-    /// All sockets holding at least one IV segment.
-    pub fn iv_sockets(&self) -> Vec<SocketId> {
-        let mut sockets: Vec<SocketId> = self.iv_segments.iter().map(|s| s.socket).collect();
-        sockets.sort();
-        sockets.dedup();
-        sockets
+    /// The socket holding the most IV bytes; ties go to the highest socket
+    /// index.
+    pub fn primary_socket(&self) -> SocketId {
+        let mut per_socket: BTreeMap<SocketId, u64> = BTreeMap::new();
+        for seg in &self.iv_segments {
+            *per_socket.entry(seg.socket).or_default() += seg.bytes;
+        }
+        per_socket
+            .into_iter()
+            .max_by_key(|&(socket, bytes)| (bytes, socket))
+            .map_or(SocketId(0), |(socket, _)| socket)
     }
 
     /// Total placed bytes of the column, including dictionary duplication
     /// introduced by physical partitioning.
     pub fn placed_bytes(&self) -> u64 {
-        let iv: u64 = self.iv_segments.iter().map(|s| s.range.bytes).sum();
+        let iv: u64 = self.iv_segments.iter().map(|s| s.bytes).sum();
         let dict: u64 = self.dict_segments.iter().map(|s| s.bytes).sum();
         let ix: u64 = self.ix_segments.iter().map(|s| s.bytes).sum();
         iv + dict + ix
@@ -180,12 +174,8 @@ pub struct PlacedTable {
 
 impl PlacedTable {
     /// Places a table on the machine according to the strategy.
-    pub fn place(
-        machine: &mut Machine,
-        spec: &TableSpec,
-        strategy: PlacementStrategy,
-    ) -> Result<Self> {
-        Self::place_with_offset(machine, spec, strategy, 0)
+    pub fn place(topology: &Topology, spec: &TableSpec, strategy: PlacementStrategy) -> Self {
+        Self::place_with_offset(topology, spec, strategy, 0)
     }
 
     /// Places a table, rotating every socket assignment by `socket_offset`.
@@ -195,33 +185,33 @@ impl PlacedTable {
     /// first sockets — e.g. the three BW-EML InfoCubes of Section 6.3 are
     /// distributed round-robin around the machine.
     pub fn place_with_offset(
-        machine: &mut Machine,
+        topology: &Topology,
         spec: &TableSpec,
         strategy: PlacementStrategy,
         socket_offset: usize,
-    ) -> Result<Self> {
-        let sockets = machine.topology().socket_count();
-        let all_sockets: Vec<SocketId> = machine.topology().socket_ids().collect();
-        let mut columns = Vec::with_capacity(spec.columns.len());
-        for (c, col) in spec.columns.iter().enumerate() {
-            let placed = match strategy {
+    ) -> Self {
+        let sockets = topology.socket_count();
+        let all_sockets: Vec<SocketId> = topology.socket_ids().collect();
+        let columns = spec
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(c, col)| match strategy {
                 PlacementStrategy::RoundRobin => {
-                    place_column_rr(machine, col, SocketId(((socket_offset + c) % sockets) as u16))?
+                    place_column_rr(col, SocketId(((socket_offset + c) % sockets) as u16))
                 }
                 PlacementStrategy::IndexVectorPartitioned { parts } => place_column_ivp(
-                    machine,
                     col,
                     socket_offset + c,
                     parts.max(1).min(sockets),
                     &all_sockets,
-                )?,
+                ),
                 PlacementStrategy::PhysicallyPartitioned { parts } => {
-                    place_column_pp(machine, col, parts.max(1), &all_sockets, socket_offset)?
+                    place_column_pp(col, parts.max(1), &all_sockets, socket_offset)
                 }
-            };
-            columns.push(placed);
-        }
-        Ok(PlacedTable { spec: spec.clone(), strategy, columns })
+            })
+            .collect();
+        PlacedTable { spec: spec.clone(), strategy, columns }
     }
 
     /// Total placed bytes of the table.
@@ -231,55 +221,20 @@ impl PlacedTable {
 }
 
 /// Places a whole column on one socket (the RR building block).
-pub fn place_column_rr(
-    machine: &mut Machine,
-    spec: &ColumnSpec,
-    socket: SocketId,
-) -> Result<PlacedColumn> {
-    let mem = machine.memory_mut();
-    let iv_range = mem.allocate(spec.iv_bytes().max(1), AllocPolicy::OnSocket(socket))?;
-    let dict_range = mem.allocate(spec.dict_bytes().max(1), AllocPolicy::OnSocket(socket))?;
-    let ix_range = if spec.with_index {
-        Some(mem.allocate(spec.ix_bytes().max(1), AllocPolicy::OnSocket(socket))?)
-    } else {
-        None
+pub fn place_column_rr(spec: &ColumnSpec, socket: SocketId) -> PlacedColumn {
+    let component = |bytes| ComponentSegment {
+        rows: 0..spec.rows,
+        location: ComponentLocation::Socket(socket),
+        bytes,
+        distinct: spec.distinct,
     };
-
-    let iv_psm = Psm::from_memory(machine.memory(), iv_range)?;
-    let dict_psm = Psm::from_memory(machine.memory(), dict_range)?;
-    let ix_psm = match ix_range {
-        Some(r) => Some(Psm::from_memory(machine.memory(), r)?),
-        None => None,
-    };
-
-    let mut allocations = vec![iv_range, dict_range];
-    allocations.extend(ix_range);
-    Ok(PlacedColumn {
+    PlacedColumn {
         spec: spec.clone(),
         strategy: PlacementStrategy::RoundRobin,
-        allocations,
-        iv_segments: vec![IvSegment { rows: 0..spec.rows, range: iv_range, socket }],
-        dict_segments: vec![ComponentSegment {
-            rows: 0..spec.rows,
-            range: dict_range,
-            location: ComponentLocation::Socket(socket),
-            bytes: spec.dict_bytes(),
-            distinct: spec.distinct,
-        }],
-        ix_segments: match ix_range {
-            Some(r) => vec![ComponentSegment {
-                rows: 0..spec.rows,
-                range: r,
-                location: ComponentLocation::Socket(socket),
-                bytes: spec.ix_bytes(),
-                distinct: spec.distinct,
-            }],
-            None => Vec::new(),
-        },
-        iv_psm,
-        dict_psm,
-        ix_psm,
-    })
+        iv_segments: vec![IvSegment { rows: 0..spec.rows, bytes: spec.iv_bytes().max(1), socket }],
+        dict_segments: vec![component(spec.dict_bytes())],
+        ix_segments: if spec.with_index { vec![component(spec.ix_bytes())] } else { Vec::new() },
+    }
 }
 
 /// Splits `0..rows` into `parts` equal ranges.
@@ -297,268 +252,138 @@ fn row_ranges(rows: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
     out
 }
 
+/// Bytes of the IV part holding `rows` rows of `spec`.
+fn iv_part_bytes(spec: &ColumnSpec, rows: &std::ops::Range<u64>) -> u64 {
+    ((rows.end - rows.start) * spec.bitcase() as u64).div_ceil(8).max(1)
+}
+
 /// Places a column with index-vector partitioning across `parts` sockets.
 pub fn place_column_ivp(
-    machine: &mut Machine,
     spec: &ColumnSpec,
     column_index: usize,
     parts: usize,
     all_sockets: &[SocketId],
-) -> Result<PlacedColumn> {
-    let sockets = all_sockets.len();
-    let ranges = row_ranges(spec.rows, parts);
-    let mut iv_segments = Vec::with_capacity(parts);
-    let mut iv_psm = Psm::new(sockets);
-    for (i, rows) in ranges.into_iter().enumerate() {
-        // Distribute partitions round-robin around the sockets, offset by the
-        // column index so that the first parts of all columns do not pile up
-        // on socket 0.
-        let socket = all_sockets[(column_index + i) % sockets];
-        let part_rows = rows.end - rows.start;
-        let bytes = ((part_rows * spec.bitcase() as u64).div_ceil(8)).max(1);
-        let range = machine.memory_mut().allocate(bytes, AllocPolicy::OnSocket(socket))?;
-        iv_psm.add_range(machine.memory(), range)?;
-        iv_segments.push(IvSegment { rows, range, socket });
-    }
+) -> PlacedColumn {
+    // Distribute partitions round-robin around the sockets, offset by the
+    // column index so that the first parts of all columns do not pile up on
+    // socket 0.
+    let iv_segments = row_ranges(spec.rows, parts)
+        .into_iter()
+        .enumerate()
+        .map(|(i, rows)| IvSegment {
+            bytes: iv_part_bytes(spec, &rows),
+            rows,
+            socket: all_sockets[(column_index + i) % all_sockets.len()],
+        })
+        .collect();
 
     // Dictionary and index are interleaved across all sockets: their vid order
     // does not follow the IV order, so no socket is preferable.
-    let dict_range = machine
-        .memory_mut()
-        .allocate(spec.dict_bytes().max(1), AllocPolicy::Interleaved(all_sockets.to_vec()))?;
-    let dict_psm = Psm::from_memory(machine.memory(), dict_range)?;
-    let (ix_segments, ix_psm) = if spec.with_index {
-        let r = machine
-            .memory_mut()
-            .allocate(spec.ix_bytes().max(1), AllocPolicy::Interleaved(all_sockets.to_vec()))?;
-        (
-            vec![ComponentSegment {
-                rows: 0..spec.rows,
-                range: r,
-                location: ComponentLocation::Interleaved(all_sockets.to_vec()),
-                bytes: spec.ix_bytes(),
-                distinct: spec.distinct,
-            }],
-            Some(Psm::from_memory(machine.memory(), r)?),
-        )
-    } else {
-        (Vec::new(), None)
+    let interleaved = |bytes| ComponentSegment {
+        rows: 0..spec.rows,
+        location: ComponentLocation::Interleaved(all_sockets.to_vec()),
+        bytes,
+        distinct: spec.distinct,
     };
-
-    let mut allocations: Vec<VirtRange> = iv_segments.iter().map(|s| s.range).collect();
-    allocations.push(dict_range);
-    allocations.extend(ix_segments.iter().map(|s| s.range));
-    Ok(PlacedColumn {
+    PlacedColumn {
         spec: spec.clone(),
         strategy: PlacementStrategy::IndexVectorPartitioned { parts },
-        allocations,
         iv_segments,
-        dict_segments: vec![ComponentSegment {
-            rows: 0..spec.rows,
-            range: dict_range,
-            location: ComponentLocation::Interleaved(all_sockets.to_vec()),
-            bytes: spec.dict_bytes(),
-            distinct: spec.distinct,
-        }],
-        ix_segments,
-        iv_psm,
-        dict_psm,
-        ix_psm,
-    })
+        dict_segments: vec![interleaved(spec.dict_bytes())],
+        ix_segments: if spec.with_index { vec![interleaved(spec.ix_bytes())] } else { Vec::new() },
+    }
 }
 
 /// Places a column with physical partitioning: every part is self-contained
 /// (own IV, dictionary and index) on one socket. Part `i` is placed on socket
 /// `(socket_offset + i) % sockets`.
 pub fn place_column_pp(
-    machine: &mut Machine,
     spec: &ColumnSpec,
     parts: usize,
     all_sockets: &[SocketId],
     socket_offset: usize,
-) -> Result<PlacedColumn> {
-    let sockets = all_sockets.len();
-    let ranges = row_ranges(spec.rows, parts);
+) -> PlacedColumn {
     let mut iv_segments = Vec::with_capacity(parts);
     let mut dict_segments = Vec::with_capacity(parts);
     let mut ix_segments = Vec::new();
-    let mut iv_psm = Psm::new(sockets);
-    let mut dict_psm = Psm::new(sockets);
-    let mut ix_psm = if spec.with_index { Some(Psm::new(sockets)) } else { None };
-
-    for (i, rows) in ranges.into_iter().enumerate() {
-        let socket = all_sockets[(socket_offset + i) % sockets];
+    for (i, rows) in row_ranges(spec.rows, parts).into_iter().enumerate() {
+        let socket = all_sockets[(socket_offset + i) % all_sockets.len()];
         let part_rows = rows.end - rows.start;
         let part_distinct = spec.expected_distinct_in(part_rows);
-
-        let iv_bytes = ((part_rows * spec.bitcase() as u64).div_ceil(8)).max(1);
-        let iv_range = machine.memory_mut().allocate(iv_bytes, AllocPolicy::OnSocket(socket))?;
-        iv_psm.add_range(machine.memory(), iv_range)?;
-        iv_segments.push(IvSegment { rows: rows.clone(), range: iv_range, socket });
-
-        let dict_bytes = (part_distinct * spec.value_bytes).max(1);
-        let dict_range =
-            machine.memory_mut().allocate(dict_bytes, AllocPolicy::OnSocket(socket))?;
-        dict_psm.add_range(machine.memory(), dict_range)?;
-        dict_segments.push(ComponentSegment {
+        iv_segments.push(IvSegment {
             rows: rows.clone(),
-            range: dict_range,
-            location: ComponentLocation::Socket(socket),
-            bytes: dict_bytes,
-            distinct: part_distinct,
+            bytes: iv_part_bytes(spec, &rows),
+            socket,
         });
-
+        let component = |bytes| ComponentSegment {
+            rows: rows.clone(),
+            location: ComponentLocation::Socket(socket),
+            bytes,
+            distinct: part_distinct,
+        };
+        dict_segments.push(component((part_distinct * spec.value_bytes).max(1)));
         if spec.with_index {
-            let ix_bytes = (part_rows * 4 + part_distinct * 8).max(1);
-            let ix_range =
-                machine.memory_mut().allocate(ix_bytes, AllocPolicy::OnSocket(socket))?;
-            if let Some(psm) = ix_psm.as_mut() {
-                psm.add_range(machine.memory(), ix_range)?;
-            }
-            ix_segments.push(ComponentSegment {
-                rows,
-                range: ix_range,
-                location: ComponentLocation::Socket(socket),
-                bytes: ix_bytes,
-                distinct: part_distinct,
-            });
+            ix_segments.push(component((part_rows * 4 + part_distinct * 8).max(1)));
         }
     }
-
-    let allocations: Vec<VirtRange> = iv_segments
-        .iter()
-        .map(|s| s.range)
-        .chain(dict_segments.iter().map(|s| s.range))
-        .chain(ix_segments.iter().map(|s| s.range))
-        .collect();
-    Ok(PlacedColumn {
+    PlacedColumn {
         spec: spec.clone(),
         strategy: PlacementStrategy::PhysicallyPartitioned { parts },
-        allocations,
         iv_segments,
         dict_segments,
         ix_segments,
-        iv_psm,
-        dict_psm,
-        ix_psm,
-    })
+    }
 }
 
-/// Moves a whole (RR-placed) column to another socket, updating its PSMs.
-pub fn move_column_to(
-    machine: &mut Machine,
-    column: &mut PlacedColumn,
-    target: SocketId,
-) -> Result<()> {
+/// Moves a whole (RR-placed) column to another socket.
+pub fn move_column_to(column: &mut PlacedColumn, target: SocketId) {
     for seg in &mut column.iv_segments {
-        column.iv_psm.move_range(machine.memory_mut(), seg.range, target)?;
         seg.socket = target;
     }
-    for seg in &mut column.dict_segments {
-        column.dict_psm.move_range(machine.memory_mut(), seg.range, target)?;
+    for seg in column.dict_segments.iter_mut().chain(&mut column.ix_segments) {
         seg.location = ComponentLocation::Socket(target);
     }
-    for seg in &mut column.ix_segments {
-        if let Some(psm) = column.ix_psm.as_mut() {
-            psm.move_range(machine.memory_mut(), seg.range, target)?;
-        }
-        seg.location = ComponentLocation::Socket(target);
-    }
-    Ok(())
 }
 
 /// Repartitions a column's IV across `parts` sockets in place, using
 /// `move_pages` semantics (this is the quick IVP repartitioning the adaptive
-/// data placer uses for hot, IV-intensive columns). The dictionary and index
+/// data placer uses for hot, IV-intensive columns): the IV keeps its bytes,
+/// split in proportion to the rows of each new part. The dictionary and index
 /// are interleaved across all sockets.
 pub fn repartition_ivp(
-    machine: &mut Machine,
+    topology: &Topology,
     column: &mut PlacedColumn,
     column_index: usize,
     parts: usize,
-) -> Result<()> {
-    let all_sockets: Vec<SocketId> = machine.topology().socket_ids().collect();
+) {
+    let all_sockets: Vec<SocketId> = topology.socket_ids().collect();
     let sockets = all_sockets.len();
     let parts = parts.max(1).min(sockets);
-
-    // Gather the existing IV allocation (contiguous in allocation order).
-    let total_iv_bytes: u64 = column.iv_segments.iter().map(|s| s.range.bytes).sum();
+    let total_iv_bytes: u64 = column.iv_segments.iter().map(|s| s.bytes).sum();
     let rows = column.spec.rows;
-    let old_segments = std::mem::take(&mut column.iv_segments);
 
-    // Rebuild segments: reuse the existing virtual ranges, splitting them into
-    // `parts` byte ranges and moving each to its target socket.
-    let mut flat_ranges: Vec<VirtRange> = old_segments.iter().map(|s| s.range).collect();
-    flat_ranges.sort_by_key(|r| r.base);
-
-    let row_parts = row_ranges(rows, parts);
-    let mut new_segments = Vec::with_capacity(parts);
     let mut byte_cursor = 0u64;
-    for (i, row_range) in row_parts.into_iter().enumerate() {
-        let socket = all_sockets[(column_index + i) % sockets];
-        let part_rows = row_range.end - row_range.start;
-        let part_bytes = if i == parts - 1 {
-            total_iv_bytes - byte_cursor
-        } else {
-            (total_iv_bytes as f64 * part_rows as f64 / rows.max(1) as f64) as u64
-        };
-        // Find the virtual ranges covering [byte_cursor, byte_cursor + part_bytes).
-        let mut remaining = part_bytes;
-        let mut offset = byte_cursor;
-        let mut covered: Vec<VirtRange> = Vec::new();
-        for r in &flat_ranges {
-            let r_start = flat_offset(&flat_ranges, r);
-            let r_end = r_start + r.bytes;
-            if r_end <= offset || remaining == 0 {
-                continue;
-            }
-            let within = offset - r_start;
-            let take = (r.bytes - within).min(remaining);
-            if take > 0 {
-                covered.push(r.subrange(within, take));
-                remaining -= take;
-                offset += take;
-            }
-        }
-        for sub in &covered {
-            if sub.bytes > 0 {
-                column.iv_psm.move_range(machine.memory_mut(), *sub, socket)?;
-            }
-        }
-        // Represent the part with one logical segment (the first covering
-        // range stands in for the address range; the PSM has the details).
-        let range = covered.first().copied().unwrap_or(flat_ranges[0]);
-        new_segments.push(IvSegment { rows: row_range, range, socket });
-        byte_cursor += part_bytes;
-    }
-    column.iv_segments = new_segments;
+    column.iv_segments = row_ranges(rows, parts)
+        .into_iter()
+        .enumerate()
+        .map(|(i, row_range)| {
+            let part_rows = row_range.end - row_range.start;
+            let bytes = if i == parts - 1 {
+                total_iv_bytes - byte_cursor
+            } else {
+                (total_iv_bytes as f64 * part_rows as f64 / rows.max(1) as f64) as u64
+            };
+            byte_cursor += bytes;
+            IvSegment { rows: row_range, bytes, socket: all_sockets[(column_index + i) % sockets] }
+        })
+        .collect();
     column.strategy = PlacementStrategy::IndexVectorPartitioned { parts };
 
     // Interleave the dictionary and index so no socket becomes a hotspot for
     // materialization.
-    for seg in &mut column.dict_segments {
-        column.dict_psm.interleave_range(machine.memory_mut(), seg.range, &all_sockets)?;
+    for seg in column.dict_segments.iter_mut().chain(&mut column.ix_segments) {
         seg.location = ComponentLocation::Interleaved(all_sockets.clone());
     }
-    for seg in &mut column.ix_segments {
-        if let Some(psm) = column.ix_psm.as_mut() {
-            psm.interleave_range(machine.memory_mut(), seg.range, &all_sockets)?;
-        }
-        seg.location = ComponentLocation::Interleaved(all_sockets.clone());
-    }
-    Ok(())
-}
-
-/// Byte offset of `range` within the concatenation of `ranges`.
-fn flat_offset(ranges: &[VirtRange], range: &VirtRange) -> u64 {
-    let mut offset = 0;
-    for r in ranges {
-        if r.base == range.base {
-            return offset;
-        }
-        offset += r.bytes;
-    }
-    offset
 }
 
 /// Cost estimates for performing or changing a placement (Section 6.2.3: PP on
@@ -589,10 +414,9 @@ impl RepartitionCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numascan_numasim::Topology;
 
-    fn machine() -> Machine {
-        Machine::new(Topology::four_socket_ivybridge_ex())
+    fn topology() -> Topology {
+        Topology::four_socket_ivybridge_ex()
     }
 
     fn table_spec(columns: usize, rows: u64) -> TableSpec {
@@ -620,45 +444,41 @@ mod tests {
 
     #[test]
     fn rr_rotates_columns_over_sockets() {
-        let mut m = machine();
         let spec = table_spec(8, 1_000_000);
-        let placed = PlacedTable::place(&mut m, &spec, PlacementStrategy::RoundRobin).unwrap();
+        let placed = PlacedTable::place(&topology(), &spec, PlacementStrategy::RoundRobin);
         let sockets: Vec<usize> =
             placed.columns.iter().map(|c| c.iv_segments[0].socket.index()).collect();
         assert_eq!(sockets, vec![0, 1, 2, 3, 0, 1, 2, 3]);
         // Every component of a column is on the column's socket.
         for col in &placed.columns {
             assert_eq!(col.iv_segments.len(), 1);
-            assert_eq!(col.iv_psm.majority_socket(), Some(col.iv_segments[0].socket));
-            assert_eq!(col.dict_psm.majority_socket(), Some(col.iv_segments[0].socket));
+            assert_eq!(col.primary_socket(), col.iv_segments[0].socket);
+            assert_eq!(
+                col.dict_segments[0].location,
+                ComponentLocation::Socket(col.primary_socket())
+            );
         }
     }
 
     #[test]
     fn ivp_partitions_the_iv_and_interleaves_the_dictionary() {
-        let mut m = machine();
+        let t = topology();
         let spec = table_spec(2, 4_000_000);
-        let placed = PlacedTable::place(
-            &mut m,
-            &spec,
-            PlacementStrategy::IndexVectorPartitioned { parts: 4 },
-        )
-        .unwrap();
+        let placed =
+            PlacedTable::place(&t, &spec, PlacementStrategy::IndexVectorPartitioned { parts: 4 });
         let col = &placed.columns[0];
         assert_eq!(col.iv_segments.len(), 4);
         // Every socket holds exactly one IV part.
-        let mut sockets = col.iv_sockets();
+        let mut sockets: Vec<SocketId> = col.iv_segments.iter().map(|s| s.socket).collect();
         sockets.sort();
+        sockets.dedup();
         assert_eq!(sockets.len(), 4);
         // Rows are split evenly.
         let rows: Vec<u64> = col.iv_segments.iter().map(|s| s.rows.end - s.rows.start).collect();
         assert!(rows.iter().all(|r| *r == 1_000_000));
         // The dictionary is spread over all sockets.
-        let dict_pages = col.dict_psm.pages_per_socket();
-        assert!(
-            dict_pages.iter().all(|p| *p > 0),
-            "dictionary must be interleaved: {dict_pages:?}"
-        );
+        let all_sockets: Vec<SocketId> = t.socket_ids().collect();
+        assert_eq!(col.dict_segments[0].location, ComponentLocation::Interleaved(all_sockets));
         // Row -> socket lookup agrees with the segments.
         assert_eq!(col.iv_socket_of_row(0), col.iv_segments[0].socket);
         assert_eq!(col.iv_socket_of_row(3_999_999), col.iv_segments[3].socket);
@@ -666,7 +486,6 @@ mod tests {
 
     #[test]
     fn pp_builds_self_contained_parts_with_duplicated_dictionaries() {
-        let mut m = machine();
         // Low-cardinality column so that every part sees every value.
         let spec = TableSpec::new(
             "t",
@@ -680,11 +499,10 @@ mod tests {
             }],
         );
         let placed = PlacedTable::place(
-            &mut m,
+            &topology(),
             &spec,
             PlacementStrategy::PhysicallyPartitioned { parts: 4 },
-        )
-        .unwrap();
+        );
         let col = &placed.columns[0];
         assert_eq!(col.iv_segments.len(), 4);
         assert_eq!(col.dict_segments.len(), 4);
@@ -703,51 +521,76 @@ mod tests {
 
     #[test]
     fn pp_memory_overhead_is_modest_for_the_paper_dataset_shape() {
-        let mut m = machine();
         // bitcase-17 column with 100M rows split 4 ways: each part still sees
         // nearly every value, so dictionaries duplicate, but the dictionary is
         // small relative to the IV, giving a single-digit percentage overhead
         // (the paper reports ~8% for the whole dataset).
         let spec = table_spec(1, 100_000_000);
         let placed = PlacedTable::place(
-            &mut m,
+            &topology(),
             &spec,
             PlacementStrategy::PhysicallyPartitioned { parts: 4 },
-        )
-        .unwrap();
+        );
         let overhead = placed.columns[0].memory_overhead_fraction();
         assert!(overhead > 0.0 && overhead < 0.25, "overhead {overhead}");
     }
 
     #[test]
     fn move_column_relocates_every_component() {
-        let mut m = machine();
         let spec = ColumnSpec::integer_with_bitcase("c", 1_000_000, 18, true);
-        let mut col = place_column_rr(&mut m, &spec, SocketId(0)).unwrap();
-        move_column_to(&mut m, &mut col, SocketId(3)).unwrap();
-        assert_eq!(col.iv_psm.majority_socket(), Some(SocketId(3)));
-        assert_eq!(col.dict_psm.majority_socket(), Some(SocketId(3)));
-        assert_eq!(col.ix_psm.as_ref().unwrap().majority_socket(), Some(SocketId(3)));
+        let mut col = place_column_rr(&spec, SocketId(0));
+        move_column_to(&mut col, SocketId(3));
+        assert_eq!(col.primary_socket(), SocketId(3));
         assert_eq!(col.iv_segments[0].socket, SocketId(3));
+        assert_eq!(col.dict_segments[0].location, ComponentLocation::Socket(SocketId(3)));
+        assert_eq!(col.ix_segments[0].location, ComponentLocation::Socket(SocketId(3)));
     }
 
     #[test]
     fn repartition_ivp_spreads_an_rr_column() {
-        let mut m = machine();
+        let t = topology();
         let spec = ColumnSpec::integer_with_bitcase("c", 8_000_000, 20, false);
-        let mut col = place_column_rr(&mut m, &spec, SocketId(1)).unwrap();
-        assert_eq!(col.iv_psm.participating_sockets().len(), 1);
-        repartition_ivp(&mut m, &mut col, 0, 4).unwrap();
+        let mut col = place_column_rr(&spec, SocketId(1));
+        let bytes = col.placed_bytes();
+        repartition_ivp(&t, &mut col, 0, 4);
         assert_eq!(col.iv_segments.len(), 4);
-        assert_eq!(col.iv_psm.participating_sockets().len(), 4);
-        // Pages are spread roughly evenly.
-        let pages = col.iv_psm.pages_per_socket();
-        let max = *pages.iter().max().unwrap() as f64;
-        let min = *pages.iter().min().unwrap() as f64;
-        assert!(min / max > 0.8, "uneven IVP split: {pages:?}");
+        let sockets: Vec<usize> = col.iv_segments.iter().map(|s| s.socket.index()).collect();
+        assert_eq!(sockets, vec![0, 1, 2, 3]);
+        // The IV bytes are spread evenly.
+        let iv_bytes: Vec<u64> = col.iv_segments.iter().map(|s| s.bytes).collect();
+        assert!(iv_bytes.iter().all(|b| *b == 5_000_000), "uneven IVP split: {iv_bytes:?}");
+        assert_eq!(col.placed_bytes(), bytes);
         assert_eq!(col.strategy, PlacementStrategy::IndexVectorPartitioned { parts: 4 });
         // The dictionary is now interleaved.
-        assert!(col.dict_psm.participating_sockets().len() > 1);
+        let all_sockets: Vec<SocketId> = t.socket_ids().collect();
+        assert_eq!(col.dict_segments[0].location, ComponentLocation::Interleaved(all_sockets));
+    }
+
+    #[test]
+    fn repartitioning_an_ivp_column_keeps_its_bytes() {
+        let t = topology();
+        let sockets: Vec<SocketId> = t.socket_ids().collect();
+        let spec = ColumnSpec::integer_with_bitcase("c", 4_000_000, 20, false);
+        let mut col = place_column_ivp(&spec, 0, 4, &sockets);
+        let bytes = col.placed_bytes();
+        repartition_ivp(&t, &mut col, 0, 3);
+        assert_eq!(col.iv_segments.len(), 3);
+        assert_eq!(col.placed_bytes(), bytes);
+    }
+
+    #[test]
+    fn primary_socket_holds_the_most_iv_bytes_and_ties_go_high() {
+        let spec = ColumnSpec::integer_with_bitcase("c", 4_000_000, 20, false);
+        let mut col = place_column_rr(&spec, SocketId(0));
+        let segment = |rows: std::ops::Range<u64>, bytes, socket| IvSegment {
+            rows,
+            bytes,
+            socket: SocketId(socket),
+        };
+        col.iv_segments = vec![segment(0..1, 10, 1), segment(1..2, 30, 2), segment(2..3, 25, 1)];
+        assert_eq!(col.primary_socket(), SocketId(1));
+        col.iv_segments = vec![segment(0..1, 10, 3), segment(1..2, 10, 0)];
+        assert_eq!(col.primary_socket(), SocketId(3));
     }
 
     #[test]
@@ -764,15 +607,13 @@ mod tests {
 
     #[test]
     fn placement_respects_strategy_parts_cap() {
-        let mut m = machine();
         let spec = table_spec(1, 1_000_000);
         // Asking for more IVP parts than sockets clamps to the socket count.
         let placed = PlacedTable::place(
-            &mut m,
+            &topology(),
             &spec,
             PlacementStrategy::IndexVectorPartitioned { parts: 16 },
-        )
-        .unwrap();
+        );
         assert_eq!(placed.columns[0].iv_segments.len(), 4);
     }
 }

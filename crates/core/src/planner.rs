@@ -15,9 +15,9 @@
 //!    the affinity of that partition's socket.
 //!
 //! The planner produces [`PlannedTask`]s whose *desired* affinity is derived
-//! from the column's PSM-backed placement; the scheduling strategy (OS,
-//! Target, Bound) later decides whether that affinity is kept, and whether it
-//! is hard.
+//! from the sockets the column's placement segments record — the role the
+//! paper gives the PSM; the scheduling strategy (OS, Target, Bound) later
+//! decides whether that affinity is kept, and whether it is hard.
 
 use numascan_numasim::{SocketId, Topology};
 use numascan_scheduler::{ConcurrencyHint, WorkClass};
@@ -315,29 +315,28 @@ mod tests {
     use super::*;
     use crate::placement::{place_column_ivp, place_column_pp, place_column_rr};
     use crate::spec::ColumnSpec;
-    use numascan_numasim::{Machine, Topology};
 
-    fn machine() -> Machine {
-        Machine::new(Topology::four_socket_ivybridge_ex())
+    fn topology() -> Topology {
+        Topology::four_socket_ivybridge_ex()
     }
 
-    fn planner(m: &Machine) -> ScanPlanner {
-        ScanPlanner::new(m.topology(), CostModel::default())
+    fn planner(t: &Topology) -> ScanPlanner {
+        ScanPlanner::new(t, CostModel::default())
     }
 
     fn spec(with_index: bool) -> ColumnSpec {
         ColumnSpec::integer_with_bitcase("c", 10_000_000, 20, with_index)
     }
 
-    fn all_sockets(m: &Machine) -> Vec<numascan_numasim::SocketId> {
-        m.topology().socket_ids().collect()
+    fn all_sockets(t: &Topology) -> Vec<SocketId> {
+        t.socket_ids().collect()
     }
 
     #[test]
     fn rr_scan_tasks_target_the_column_socket() {
-        let mut m = machine();
-        let col = place_column_rr(&mut m, &spec(false), SocketId(2)).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let col = place_column_rr(&spec(false), SocketId(2));
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.001, allow_index: false }, 1024, true);
         assert_eq!(plan.phase1.len(), 1, "high concurrency collapses to one scan task");
@@ -353,20 +352,20 @@ mod tests {
 
     #[test]
     fn low_concurrency_splits_into_many_tasks() {
-        let mut m = machine();
-        let col = place_column_rr(&mut m, &spec(false), SocketId(0)).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let col = place_column_rr(&spec(false), SocketId(0));
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.001, allow_index: false }, 1, true);
-        assert_eq!(plan.phase1.len(), m.topology().total_contexts());
+        assert_eq!(plan.phase1.len(), t.total_contexts());
     }
 
     #[test]
     fn ivp_scan_tasks_cover_every_partition_socket() {
-        let mut m = machine();
-        let sockets = all_sockets(&m);
-        let col = place_column_ivp(&mut m, &spec(false), 0, 4, &sockets).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let sockets = all_sockets(&t);
+        let col = place_column_ivp(&spec(false), 0, 4, &sockets);
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.001, allow_index: false }, 1024, true);
         // Rounded up to a multiple of the partitions: 4 tasks.
@@ -383,10 +382,10 @@ mod tests {
 
     #[test]
     fn pp_materialization_uses_the_local_part_dictionary() {
-        let mut m = machine();
-        let sockets = all_sockets(&m);
-        let col = place_column_pp(&mut m, &spec(false), 4, &sockets, 0).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let sockets = all_sockets(&t);
+        let col = place_column_pp(&spec(false), 4, &sockets, 0);
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.1, allow_index: false }, 1024, true);
         for task in &plan.phase2 {
@@ -402,9 +401,9 @@ mod tests {
 
     #[test]
     fn index_lookup_is_chosen_for_low_selectivity_and_is_single_task() {
-        let mut m = machine();
-        let col = place_column_rr(&mut m, &spec(true), SocketId(1)).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let col = place_column_rr(&spec(true), SocketId(1));
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.00001, allow_index: true }, 1024, true);
         assert_eq!(plan.phase1.len(), 1);
@@ -416,10 +415,10 @@ mod tests {
 
     #[test]
     fn index_lookup_on_interleaved_index_has_no_affinity() {
-        let mut m = machine();
-        let sockets = all_sockets(&m);
-        let col = place_column_ivp(&mut m, &spec(true), 0, 4, &sockets).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let sockets = all_sockets(&t);
+        let col = place_column_ivp(&spec(true), 0, 4, &sockets);
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.00001, allow_index: true }, 1024, true);
         assert_eq!(plan.phase1[0].affinity, None);
@@ -427,9 +426,9 @@ mod tests {
 
     #[test]
     fn high_selectivity_scans_instead_of_index() {
-        let mut m = machine();
-        let col = place_column_rr(&mut m, &spec(true), SocketId(0)).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let col = place_column_rr(&spec(true), SocketId(0));
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.01, allow_index: true }, 1024, true);
         assert_eq!(plan.phase1[0].work_class, WorkClass::MemoryIntensive);
@@ -438,9 +437,9 @@ mod tests {
 
     #[test]
     fn zero_selectivity_has_no_materialization_phase() {
-        let mut m = machine();
-        let col = place_column_rr(&mut m, &spec(false), SocketId(0)).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let col = place_column_rr(&spec(false), SocketId(0));
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.0, allow_index: false }, 16, true);
         assert!(plan.phase2.is_empty());
@@ -448,10 +447,10 @@ mod tests {
 
     #[test]
     fn disabling_parallelism_yields_single_tasks_reading_remote_partitions() {
-        let mut m = machine();
-        let sockets = all_sockets(&m);
-        let col = place_column_ivp(&mut m, &spec(false), 0, 4, &sockets).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let sockets = all_sockets(&t);
+        let col = place_column_ivp(&spec(false), 0, 4, &sockets);
+        let p = planner(&t);
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.001, allow_index: false }, 1, false);
         assert_eq!(plan.phase1.len(), 1);
@@ -461,9 +460,9 @@ mod tests {
 
     #[test]
     fn aggregation_classification_follows_ops_per_row() {
-        let mut m = machine();
-        let col = place_column_rr(&mut m, &spec(false), SocketId(0)).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let col = place_column_rr(&spec(false), SocketId(0));
+        let p = planner(&t);
         let q1 = p.plan(&col, &QueryKind::Aggregate { ops_per_row: 25.0 }, 32, true);
         assert!(q1.phase1.iter().all(|t| t.work_class == WorkClass::CpuIntensive));
         assert!(q1.phase2.is_empty());
@@ -473,10 +472,10 @@ mod tests {
 
     #[test]
     fn task_counts_respect_the_concurrency_hint() {
-        let mut m = machine();
-        let sockets = all_sockets(&m);
-        let col = place_column_ivp(&mut m, &spec(false), 0, 4, &sockets).unwrap();
-        let p = planner(&m);
+        let t = topology();
+        let sockets = all_sockets(&t);
+        let col = place_column_ivp(&spec(false), 0, 4, &sockets);
+        let p = planner(&t);
         // 4 active statements on 120 contexts: ~30 tasks rounded up to 32.
         let plan =
             p.plan(&col, &QueryKind::Scan { selectivity: 0.001, allow_index: false }, 4, true);

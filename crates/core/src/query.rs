@@ -62,11 +62,6 @@ impl QuerySpec {
         QuerySpec { column, kind: QueryKind::Scan { selectivity, allow_index: false } }
     }
 
-    /// A range-predicate query that may use the inverted index.
-    pub fn scan_with_index(column: ColumnRef, selectivity: f64) -> Self {
-        QuerySpec { column, kind: QueryKind::Scan { selectivity, allow_index: true } }
-    }
-
     /// An aggregation query over `column`.
     pub fn aggregate(column: ColumnRef, ops_per_row: f64) -> Self {
         QuerySpec { column, kind: QueryKind::Aggregate { ops_per_row } }
@@ -144,10 +139,6 @@ mod tests {
         assert!(matches!(
             QuerySpec::scan(c, 0.01).kind,
             QueryKind::Scan { allow_index: false, .. }
-        ));
-        assert!(matches!(
-            QuerySpec::scan_with_index(c, 0.01).kind,
-            QueryKind::Scan { allow_index: true, .. }
         ));
         assert!(matches!(QuerySpec::aggregate(c, 20.0).kind, QueryKind::Aggregate { .. }));
         assert_eq!(QuerySpec::scan(c, 0.25).kind.selectivity(), 0.25);

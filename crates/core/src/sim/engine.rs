@@ -622,7 +622,7 @@ mod tests {
     use numascan_numasim::Topology;
 
     fn build(columns: usize, rows: u64, strategy: PlacementStrategy) -> (Machine, Catalog) {
-        let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
+        let machine = Machine::new(Topology::four_socket_ivybridge_ex());
         let spec = TableSpec::new(
             "tbl",
             rows,
@@ -637,7 +637,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let placed = PlacedTable::place(&mut machine, &spec, strategy).unwrap();
+        let placed = PlacedTable::place(machine.topology(), &spec, strategy);
         let mut catalog = Catalog::new();
         catalog.add_table(placed);
         (machine, catalog)

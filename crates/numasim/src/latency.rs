@@ -74,16 +74,6 @@ impl LatencyModel {
         count * avg_ns * 1e-9 / self.mlp
     }
 
-    /// Effective random-access throughput (accesses per second) from `cpu` to
-    /// `target` for a single hardware context.
-    pub fn random_access_rate(&self, cpu: SocketId, target: &AccessTarget) -> f64 {
-        let avg_ns = self.average_latency_ns(cpu, target);
-        if avg_ns <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.mlp / (avg_ns * 1e-9)
-    }
-
     /// The modelled memory-level parallelism.
     pub fn memory_level_parallelism(&self) -> f64 {
         self.mlp
@@ -119,9 +109,9 @@ mod tests {
     fn access_rate_scales_with_mlp() {
         let t = Topology::four_socket_ivybridge_ex();
         let m = LatencyModel::new(&t);
-        let rate = m.random_access_rate(SocketId(0), &AccessTarget::Socket(SocketId(0)));
-        let expected = t.socket.memory_level_parallelism / 150e-9;
-        assert!((rate - expected).abs() / rate < 1e-9);
+        let seconds = m.random_access_seconds(SocketId(0), &AccessTarget::Socket(SocketId(0)), 1e6);
+        let expected = 1e6 * 150e-9 / t.socket.memory_level_parallelism;
+        assert!((seconds - expected).abs() / seconds < 1e-9);
         assert_eq!(m.memory_level_parallelism(), t.socket.memory_level_parallelism);
     }
 

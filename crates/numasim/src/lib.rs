@@ -15,16 +15,17 @@
 //! * [`topology`] — socket/core/interconnect descriptions, with presets
 //!   parameterised by the latencies and bandwidths the paper reports in
 //!   Table 1.
-//! * [`memman`] — a page-granular virtual memory manager providing the same
-//!   operations a NUMA-aware application uses on Linux (first-touch
-//!   allocation, explicit placement, interleaving, `move_pages`).
 //! * [`bandwidth`] — a generalized max-min fair bandwidth allocator that
 //!   shares memory-controller and interconnect capacity between concurrent
 //!   traffic streams, including cache-coherence amplification.
 //! * [`latency`] — latency-bound (pointer-chasing / random access) cost model.
 //! * [`counters`] — per-socket and per-link "hardware" counters equivalent to
 //!   what the paper gathers with the Intel PCM tool.
-//! * [`machine`] — a convenience bundle of the above plus a virtual clock.
+//! * [`machine`] — a convenience bundle of the above.
+//!
+//! The machine keeps no record of where data lives: the engine's placement
+//! segments are that record (`numascan-core`'s `placement` module), as the
+//! paper's Page Socket Mapping is for a real OS.
 //!
 //! Higher layers (the task scheduler and the column-store engine) decide *what*
 //! runs *where*; this crate answers *how long it takes* and *what the counters
@@ -35,16 +36,12 @@
 
 pub mod bandwidth;
 pub mod counters;
-pub mod error;
 pub mod latency;
 pub mod machine;
-pub mod memman;
 pub mod topology;
 
 pub use bandwidth::{BandwidthSolver, MemoryDemand, RateAllocation};
 pub use counters::{HwCounters, LinkCounters, SocketCounters};
-pub use error::{NumaSimError, Result};
 pub use latency::LatencyModel;
-pub use machine::{Machine, VirtualClock};
-pub use memman::{AllocPolicy, MemoryManager, PageLocation, VirtRange, PAGE_SIZE};
+pub use machine::Machine;
 pub use topology::{CoherenceProtocol, HwContext, SocketId, Topology, TopologyKind};

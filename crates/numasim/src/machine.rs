@@ -1,81 +1,37 @@
 //! A complete virtual NUMA machine.
 //!
 //! [`Machine`] bundles the pieces higher layers need to execute a workload on
-//! a modelled server: the [`Topology`], a [`MemoryManager`] tracking where
-//! every allocation lives, a [`BandwidthSolver`] and [`LatencyModel`] for
-//! costing work, [`HwCounters`] for the observable metrics, and a
-//! [`VirtualClock`].
+//! a modelled server: the [`Topology`], a [`BandwidthSolver`] and
+//! [`LatencyModel`] for costing work, and [`HwCounters`] for the observable
+//! metrics. Where data lives is recorded by the placement that put it there,
+//! not by the machine.
 
 use crate::bandwidth::BandwidthSolver;
 use crate::counters::HwCounters;
 use crate::latency::LatencyModel;
-use crate::memman::MemoryManager;
 use crate::topology::Topology;
 
-/// A monotonically advancing virtual clock, in seconds.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct VirtualClock {
-    now: f64,
-}
-
-impl VirtualClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        VirtualClock { now: 0.0 }
-    }
-
-    /// Current virtual time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advances the clock by `dt` seconds (`dt` must not be negative).
-    pub fn advance(&mut self, dt: f64) {
-        assert!(dt >= 0.0, "time cannot go backwards (dt = {dt})");
-        self.now += dt;
-    }
-
-    /// Resets the clock to zero.
-    pub fn reset(&mut self) {
-        self.now = 0.0;
-    }
-}
-
-/// A virtual NUMA machine: topology, memory placement ledger, cost models,
-/// counters and a clock.
+/// A virtual NUMA machine: topology, cost models and counters.
 #[derive(Debug, Clone)]
 pub struct Machine {
     topology: Topology,
-    memory: MemoryManager,
     bandwidth: BandwidthSolver,
     latency: LatencyModel,
     counters: HwCounters,
-    clock: VirtualClock,
 }
 
 impl Machine {
     /// Builds a machine for the given topology.
     pub fn new(topology: Topology) -> Self {
-        let memory = MemoryManager::new(&topology);
         let bandwidth = BandwidthSolver::new(&topology);
         let latency = LatencyModel::new(&topology);
         let counters = HwCounters::new(&topology);
-        Machine { topology, memory, bandwidth, latency, counters, clock: VirtualClock::new() }
+        Machine { topology, bandwidth, latency, counters }
     }
 
     /// The machine's topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The memory placement ledger.
-    pub fn memory(&self) -> &MemoryManager {
-        &self.memory
-    }
-
-    /// Mutable access to the memory placement ledger.
-    pub fn memory_mut(&mut self) -> &mut MemoryManager {
-        &mut self.memory
     }
 
     /// The bandwidth contention model.
@@ -98,69 +54,29 @@ impl Machine {
         &mut self.counters
     }
 
-    /// The virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
-    /// Mutable access to the virtual clock.
-    pub fn clock_mut(&mut self) -> &mut VirtualClock {
-        &mut self.clock
-    }
-
-    /// Current virtual time in seconds.
-    pub fn now(&self) -> f64 {
-        self.clock.now()
-    }
-
-    /// Resets counters and clock (keeps allocations).
+    /// Resets the counters.
     pub fn reset_measurement(&mut self) {
         self.counters.reset();
-        self.clock.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memman::AllocPolicy;
     use crate::topology::SocketId;
 
     #[test]
-    fn clock_advances_monotonically() {
-        let mut c = VirtualClock::new();
-        assert_eq!(c.now(), 0.0);
-        c.advance(0.5);
-        c.advance(0.25);
-        assert!((c.now() - 0.75).abs() < 1e-12);
-        c.reset();
-        assert_eq!(c.now(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "time cannot go backwards")]
-    fn clock_rejects_negative_steps() {
-        VirtualClock::new().advance(-1.0);
-    }
-
-    #[test]
     fn machine_bundles_consistent_components() {
-        let mut m = Machine::new(Topology::four_socket_ivybridge_ex());
+        let m = Machine::new(Topology::four_socket_ivybridge_ex());
         assert_eq!(m.topology().socket_count(), 4);
         assert_eq!(m.bandwidth().socket_count(), 4);
-        let r = m.memory_mut().allocate(8192, AllocPolicy::OnSocket(SocketId(1))).unwrap();
-        assert_eq!(m.memory().socket_of(r.base).unwrap(), Some(SocketId(1)));
     }
 
     #[test]
-    fn reset_measurement_clears_counters_but_not_memory() {
+    fn reset_measurement_clears_counters() {
         let mut m = Machine::new(Topology::four_socket_ivybridge_ex());
-        let r = m.memory_mut().allocate(8192, AllocPolicy::OnSocket(SocketId(0))).unwrap();
         m.counters_mut().record_busy(SocketId(0), 1.0);
-        m.clock_mut().advance(1.0);
         m.reset_measurement();
-        assert_eq!(m.now(), 0.0);
         assert_eq!(m.counters().cpu_load_percent(), 0.0);
-        assert!(m.memory().socket_of(r.base).unwrap().is_some());
     }
 }

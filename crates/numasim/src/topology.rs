@@ -70,13 +70,6 @@ pub enum CoherenceProtocol {
     },
 }
 
-impl CoherenceProtocol {
-    /// `true` if the protocol broadcasts snoops to all sockets.
-    pub fn is_broadcast(&self) -> bool {
-        matches!(self, CoherenceProtocol::BroadcastSnoop { .. })
-    }
-}
-
 /// A well-known machine shape. Used by the benchmark harness to label results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TopologyKind {
@@ -350,18 +343,6 @@ impl Topology {
         out
     }
 
-    /// Checks that a socket id is valid for this topology.
-    pub fn validate_socket(&self, socket: SocketId) -> crate::Result<()> {
-        if socket.index() >= self.sockets {
-            Err(crate::NumaSimError::InvalidSocket {
-                socket: socket.index(),
-                sockets: self.sockets,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     /// Hop distance between two sockets (0 when they are the same socket).
     pub fn hop_distance(&self, from: SocketId, to: SocketId) -> u8 {
         self.hops[from.index()][to.index()]
@@ -420,11 +401,6 @@ impl Topology {
     /// (the "Total local B/W" row of Table 1, before coherence effects).
     pub fn total_local_bandwidth_gibs(&self) -> f64 {
         self.socket.local_bandwidth_gibs * self.sockets as f64
-    }
-
-    /// Total modelled DRAM capacity in pages of 4 KiB.
-    pub fn pages_per_socket(&self) -> u64 {
-        (self.socket.memory_gib * (1u64 << 30) as f64 / crate::memman::PAGE_SIZE as f64) as u64
     }
 
     /// Summary row as reported in Table 1 of the paper:
@@ -527,7 +503,7 @@ mod tests {
         assert_eq!(b1, 10.3);
         assert_eq!(bmax, 4.6);
         assert!((total - 154.4).abs() < 1e-9);
-        assert!(t.coherence.is_broadcast());
+        assert!(matches!(t.coherence, CoherenceProtocol::BroadcastSnoop { .. }));
         assert_eq!(t.max_hops(), 2);
     }
 
@@ -606,13 +582,6 @@ mod tests {
             assert_eq!(c.global_index as usize, i);
             assert_eq!(c.socket.index(), i / t.contexts_per_socket());
         }
-    }
-
-    #[test]
-    fn validate_socket_rejects_out_of_range() {
-        let t = Topology::four_socket_ivybridge_ex();
-        assert!(t.validate_socket(SocketId(3)).is_ok());
-        assert!(t.validate_socket(SocketId(4)).is_err());
     }
 
     #[test]

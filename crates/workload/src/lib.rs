@@ -48,31 +48,32 @@ pub use tpch::{
 };
 
 use numascan_core::{Catalog, PlacedTable, PlacementStrategy, TableSpec};
-use numascan_numasim::{Machine, Result};
+use numascan_numasim::Topology;
 
-/// Places `spec` on `machine` with `strategy` and returns a catalog containing
-/// it (the common setup step of every experiment).
+/// Places `spec` on a machine of `topology` with `strategy` and returns a
+/// catalog containing it (the common setup step of every experiment).
 pub fn build_catalog(
-    machine: &mut Machine,
+    topology: &Topology,
     spec: &TableSpec,
     strategy: PlacementStrategy,
-) -> Result<Catalog> {
-    let table = PlacedTable::place(machine, spec, strategy)?;
+) -> Catalog {
     let mut catalog = Catalog::new();
-    catalog.add_table(table);
-    Ok(catalog)
+    catalog.add_table(PlacedTable::place(topology, spec, strategy));
+    catalog
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numascan_numasim::Topology;
 
     #[test]
     fn build_catalog_places_the_paper_dataset() {
-        let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
         let spec = paper_table_spec(1_000_000, 16, false);
-        let catalog = build_catalog(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+        let catalog = build_catalog(
+            &Topology::four_socket_ivybridge_ex(),
+            &spec,
+            PlacementStrategy::RoundRobin,
+        );
         assert_eq!(catalog.table_count(), 1);
         assert_eq!(catalog.table(0).columns.len(), 17); // ID + 16 payload columns
     }

@@ -36,7 +36,7 @@ fn main() {
     let topology = Topology::four_socket_ivybridge_ex();
     let mut machine = Machine::new(topology.clone());
     let spec = paper_table_spec(4_000_000, 8, false);
-    let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+    let table = PlacedTable::place(&topology, &spec, PlacementStrategy::RoundRobin);
     let mut catalog = Catalog::new();
     catalog.add_table(table);
 
@@ -56,7 +56,7 @@ fn main() {
 
         // One closed-loop rebalance step: derive socket utilization and
         // per-column heat from the measurement, decide, and apply.
-        let action = placer.rebalance_step(&mut machine, &mut catalog, &report).unwrap();
+        let action = placer.rebalance_step(&topology, &mut catalog, &report);
         match &action {
             PlacerAction::None => {
                 println!("placer: utilization is balanced, nothing to do");

@@ -37,7 +37,7 @@ fn main() {
     );
     for strategy in SchedulingStrategy::ALL {
         let mut machine = Machine::new(topology.clone());
-        let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+        let table = PlacedTable::place(&topology, &spec, PlacementStrategy::RoundRobin);
         let mut catalog = Catalog::new();
         catalog.add_table(table);
 

@@ -18,7 +18,7 @@ use numascan::workload::{paper_table_spec, ColumnSelection, ScanWorkload};
 fn run(placement: PlacementStrategy, strategy: SchedulingStrategy) -> SimReport {
     let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
     let spec = paper_table_spec(4_000_000, 16, false);
-    let table = PlacedTable::place(&mut machine, &spec, placement).unwrap();
+    let table = PlacedTable::place(machine.topology(), &spec, placement);
     let mut catalog = Catalog::new();
     catalog.add_table(table);
     let mut workload = ScanWorkload::new(0, 16, ColumnSelection::paper_skew(), 0.00001, 99);

@@ -8,12 +8,11 @@
 //!
 //! This crate is a facade that re-exports the workspace members:
 //!
-//! * [`numasim`] — a deterministic virtual NUMA machine (topologies, page
-//!   placement, bandwidth/latency contention, hardware counters).
+//! * [`numasim`] — a deterministic virtual NUMA machine (topologies,
+//!   bandwidth/latency contention, hardware counters).
 //! * [`storage`] — the column-store storage layer (dictionary encoding,
 //!   bit-packed and run-length index vectors, zone maps, scans,
 //!   materialization, partitioning).
-//! * [`psm`] — the Page Socket Mapping metadata structure.
 //! * [`scheduler`] — the NUMA-aware task scheduler (thread groups, hard/soft
 //!   affinities, stealing policies, concurrency hint), with a real-thread
 //!   backend.
@@ -41,7 +40,7 @@
 //! // A 4-socket machine with a small scan table placed round-robin.
 //! let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
 //! let spec = paper_table_spec(1_000_000, 8, false);
-//! let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+//! let table = PlacedTable::place(machine.topology(), &spec, PlacementStrategy::RoundRobin);
 //! let mut catalog = Catalog::new();
 //! catalog.add_table(table);
 //!
@@ -61,7 +60,6 @@ pub use numascan_bench as bench;
 pub use numascan_cluster as cluster;
 pub use numascan_core as core;
 pub use numascan_numasim as numasim;
-pub use numascan_psm as psm;
 pub use numascan_scheduler as scheduler;
 pub use numascan_storage as storage;
 pub use numascan_workload as workload;

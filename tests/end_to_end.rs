@@ -7,7 +7,7 @@ use numascan::core::{
     Catalog, ColumnRef, NativeEngine, PlacedTable, PlacementStrategy, QueryKind, ScanPlanner,
     ScanRequest, SimConfig, SimEngine,
 };
-use numascan::numasim::{Machine, Topology};
+use numascan::numasim::{Machine, SocketId, Topology};
 use numascan::scheduler::SchedulingStrategy;
 use numascan::storage::{scan_positions, Predicate};
 use numascan::workload::{paper_table_spec, small_real_table, ColumnSelection, ScanWorkload};
@@ -52,29 +52,31 @@ fn native_engine_results_are_identical_across_scheduling_strategies() {
 }
 
 #[test]
-fn planner_affinities_match_the_placement_psm() {
-    let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
+fn planner_affinities_follow_the_ivp_rule() {
+    let topology = Topology::four_socket_ivybridge_ex();
+    let sockets = topology.socket_count();
     let spec = paper_table_spec(2_000_000, 4, false);
     let table = PlacedTable::place(
-        &mut machine,
+        &topology,
         &spec,
         PlacementStrategy::IndexVectorPartitioned { parts: 4 },
-    )
-    .unwrap();
-    let planner = ScanPlanner::new(machine.topology(), CostModel::default());
-    for column in &table.columns {
+    );
+    let planner = ScanPlanner::new(&topology, CostModel::default());
+    for (c, column) in table.columns.iter().enumerate() {
         let plan = planner.plan(
             column,
             &QueryKind::Scan { selectivity: 0.001, allow_index: false },
             64,
             true,
         );
-        for task in &plan.phase1 {
-            let affinity = task.affinity.expect("scan tasks of partitioned IVs have affinities");
-            assert!(
-                column.iv_psm.participating_sockets().contains(&affinity),
-                "task affinity {affinity} is not a socket holding IV pages"
-            );
+        // The planner emits the scan tasks part by part, an equal number each.
+        let parts = column.iv_segments.len();
+        assert_eq!(plan.phase1.len() % parts, 0);
+        let per_part = plan.phase1.len() / parts;
+        for (i, task) in plan.phase1.iter().enumerate() {
+            let part = i / per_part;
+            let expected = SocketId(((c + part) % sockets) as u16);
+            assert_eq!(task.affinity, Some(expected), "column {c}, part {part}");
         }
     }
 }
@@ -88,7 +90,7 @@ fn simulation_runs_against_every_placement_strategy() {
     ] {
         let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
         let spec = paper_table_spec(1_000_000, 8, false);
-        let table = PlacedTable::place(&mut machine, &spec, placement).unwrap();
+        let table = PlacedTable::place(machine.topology(), &spec, placement);
         let mut catalog = Catalog::new();
         catalog.add_table(table);
         let mut workload = ScanWorkload::new(0, 8, ColumnSelection::Uniform, 0.0001, 3);
@@ -109,7 +111,7 @@ fn adaptive_placer_balances_a_hotspot_and_improves_throughput() {
     let topology = Topology::four_socket_ivybridge_ex();
     let mut machine = Machine::new(topology.clone());
     let spec = paper_table_spec(2_000_000, 8, false);
-    let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+    let table = PlacedTable::place(&topology, &spec, PlacementStrategy::RoundRobin);
     let mut catalog = Catalog::new();
     catalog.add_table(table);
     let hot = ColumnRef { table: 0, column: 1 };
@@ -133,7 +135,7 @@ fn adaptive_placer_balances_a_hotspot_and_improves_throughput() {
         let utilization = AdaptiveDataPlacer::utilization_from_report(&report, &topology);
         let heats = vec![ColumnHeat {
             column: hot,
-            primary_socket: catalog.column(hot).iv_psm.majority_socket().unwrap(),
+            primary_socket: catalog.column(hot).primary_socket(),
             heat: 0.5,
             agg_bytes: 0,
             iv_intensive: true,
@@ -145,7 +147,7 @@ fn adaptive_placer_balances_a_hotspot_and_improves_throughput() {
         if action == PlacerAction::None {
             break;
         }
-        placer.apply(&mut machine, &mut catalog, &action).unwrap();
+        placer.apply(&topology, &mut catalog, &action);
         acted = true;
     }
     assert!(acted, "the placer should have reacted to the hotspot");
@@ -164,7 +166,7 @@ fn facade_quickstart_compiles_and_runs() {
     // Mirrors the README / crate-level quick start.
     let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
     let spec = paper_table_spec(500_000, 4, false);
-    let table = PlacedTable::place(&mut machine, &spec, PlacementStrategy::RoundRobin).unwrap();
+    let table = PlacedTable::place(machine.topology(), &spec, PlacementStrategy::RoundRobin);
     let mut catalog = Catalog::new();
     catalog.add_table(table);
     let mut workload = ScanWorkload::new(0, 4, ColumnSelection::Uniform, 0.0001, 42);

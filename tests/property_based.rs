@@ -5,9 +5,7 @@ use proptest::prelude::*;
 mod common;
 
 use common::oracle_rows;
-use numascan::numasim::memman::{AllocPolicy, MemoryManager, VirtRange, PAGE_SIZE};
 use numascan::numasim::{SocketId, Topology};
-use numascan::psm::Psm;
 use numascan::scheduler::{
     ConcurrencyHint, CoreConfig, PopOutcome, QueueSet, SchedulerCore, SleepOutcome, StealScope,
     TaskMeta, TaskPriority, ThreadGroupId, WorkClass, WorkerId, WorkerState,
@@ -447,41 +445,6 @@ proptest! {
         prop_assert_eq!(collected, expected);
     }
 
-    /// PSM invariants hold under arbitrary sequences of page moves: the
-    /// summary equals the per-page ground truth of the memory manager, and the
-    /// total page count never changes.
-    #[test]
-    fn psm_tracks_memory_manager_ground_truth(
-        moves in proptest::collection::vec((0u64..64, 1u64..32, 0u16..4), 0..20),
-    ) {
-        let topology = Topology::four_socket_ivybridge_ex();
-        let mut mem = MemoryManager::new(&topology);
-        let range = mem.allocate(64 * PAGE_SIZE, AllocPolicy::OnSocket(SocketId(0))).unwrap();
-        let mut psm = Psm::from_memory(&mem, range).unwrap();
-        prop_assert_eq!(psm.total_pages(), 64);
-
-        for (start, len, socket) in moves {
-            let start = start.min(63);
-            let len = len.min(64 - start);
-            if len == 0 {
-                continue;
-            }
-            let sub = VirtRange::new(range.base + start * PAGE_SIZE, len * PAGE_SIZE);
-            psm.move_range(&mut mem, sub, SocketId(socket)).unwrap();
-
-            // Invariant: total page count is preserved.
-            prop_assert_eq!(psm.total_pages(), 64);
-            // Invariant: per-socket summary matches the memory manager.
-            let truth = mem.pages_per_socket(range).unwrap();
-            prop_assert_eq!(psm.pages_per_socket(), truth.as_slice());
-            // Invariant: every page's socket agrees with the memory manager.
-            for page in 0..64 {
-                let addr = range.base + page * PAGE_SIZE;
-                prop_assert_eq!(psm.socket_of(addr), mem.socket_of(addr).unwrap());
-            }
-        }
-    }
-
     /// The `QueueSet` scheduling discipline holds under arbitrary push/pop
     /// interleavings on a 2-socket, 2-groups-per-socket machine: a worker's
     /// pop returns exactly the task the paper's search order dictates (own
@@ -580,21 +543,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Splitting a range into even parts always covers it exactly.
-    #[test]
-    fn virt_range_split_covers_exactly(bytes in 1u64..1_000_000, parts in 1usize..64) {
-        let range = VirtRange::new(4096, bytes);
-        let splits = range.split_even(parts);
-        prop_assert_eq!(splits.len(), parts);
-        prop_assert_eq!(splits.iter().map(|r| r.bytes).sum::<u64>(), bytes);
-        let mut cursor = range.base;
-        for part in &splits {
-            prop_assert_eq!(part.base, cursor);
-            cursor = part.end();
-        }
-        prop_assert_eq!(cursor, range.end());
     }
 }
 

@@ -28,8 +28,7 @@ fn every_placement_and_scheduling_combination_completes_queries() {
     for placement in placements {
         let mut machine = Machine::new(Topology::four_socket_ivybridge_ex());
         let spec = paper_table_spec(500_000, 8, false);
-        let table = PlacedTable::place(&mut machine, &spec, placement)
-            .unwrap_or_else(|e| panic!("placing with {placement:?} failed: {e}"));
+        let table = PlacedTable::place(machine.topology(), &spec, placement);
         let mut catalog = Catalog::new();
         catalog.add_table(table);
 
