@@ -11,7 +11,7 @@ use numascan_numasim::Topology;
 use numascan_scheduler::SchedulingStrategy;
 
 use crate::harness::{fmt, ResultTable};
-use crate::runner::{build_machine_and_catalog, run_scan_on, ScanRunConfig};
+use crate::runner::{run_scan, ScanRunConfig};
 use crate::scale::ExperimentScale;
 
 /// The IVP granularities swept on the 32-socket machine (1 degenerates to RR).
@@ -40,30 +40,35 @@ fn clients(scale: &ExperimentScale) -> usize {
     scale.high_concurrency.max(Topology::thirty_two_socket_ivybridge_ex().total_contexts() / 2)
 }
 
-/// One row of Figure 12 — placement label, then OS, Target and Bound
-/// throughput — for `parts`-way IVP (1 is RR). Each row builds its own
-/// machine, so a row computed alone matches the same row of the full figure.
-pub fn row(scale: &ExperimentScale, parts: usize) -> Vec<String> {
-    let placement = if parts == 1 {
+/// The placement of `parts`-way IVP; 1 is RR.
+fn placement(parts: usize) -> PlacementStrategy {
+    if parts == 1 {
         PlacementStrategy::RoundRobin
     } else {
         PlacementStrategy::IndexVectorPartitioned { parts }
-    };
+    }
+}
+
+/// One row of Figure 12 — placement label, then OS, Target and Bound
+/// throughput — for `parts`-way IVP (1 is RR).
+pub fn row(scale: &ExperimentScale, parts: usize) -> Vec<String> {
+    let cells = SchedulingStrategy::ALL.map(|strategy| fmt(cell(scale, parts, strategy)));
+    std::iter::once(placement(parts).label()).chain(cells).collect()
+}
+
+/// One cell of Figure 12: the throughput (q/min) of `strategy` over
+/// `parts`-way IVP (1 is RR). Each cell builds its own machine, so a cell
+/// computed alone matches the same cell of the full figure.
+pub fn cell(scale: &ExperimentScale, parts: usize, strategy: SchedulingStrategy) -> f64 {
     let clients = clients(scale);
-    let base = ScanRunConfig {
+    let config = ScanRunConfig {
         topology: Topology::thirty_two_socket_ivybridge_ex(),
-        placement,
+        placement: placement(parts),
         clients,
+        strategy,
         ..ScanRunConfig::new(clients)
     };
-    let (mut machine, catalog) = build_machine_and_catalog(&base, scale);
-    let mut row = vec![placement.label()];
-    for strategy in SchedulingStrategy::ALL {
-        let report =
-            run_scan_on(&mut machine, &catalog, &ScanRunConfig { strategy, ..base.clone() }, scale);
-        row.push(fmt(report.throughput_qpm));
-    }
-    row
+    run_scan(&config, scale).throughput_qpm
 }
 
 #[cfg(test)]
@@ -80,12 +85,10 @@ mod tests {
             max_queries: 600,
             max_virtual_seconds: 20.0,
         };
-        // Only the RR and IVP32 rows are asserted on, so only they are run.
-        let throughputs = |parts| -> Vec<f64> {
-            row(&scale, parts)[1..].iter().map(|cell| cell.parse().unwrap()).collect()
-        };
-        let (rr, ivp32) = (throughputs(1), throughputs(32));
-        let (rr_os, rr_target, rr_bound) = (rr[0], rr[1], rr[2]);
+        // Only the asserted cells are run: RR under every strategy, and
+        // IVP32 under Bound.
+        let [rr_os, rr_target, rr_bound] =
+            SchedulingStrategy::ALL.map(|strategy| cell(&scale, 1, strategy));
         // Bound >= Target for RR, by a sizeable margin (the paper reports 58%).
         assert!(
             rr_bound > 1.2 * rr_target,
@@ -93,7 +96,7 @@ mod tests {
         );
         // Partitioning across all 32 sockets is much slower than RR under
         // Bound (the paper reports ~70%).
-        let ivp32_bound = ivp32[2];
+        let ivp32_bound = cell(&scale, 32, SchedulingStrategy::Bound);
         assert!(
             ivp32_bound < 0.7 * rr_bound,
             "IVP32 {ivp32_bound} should lose substantially to RR {rr_bound}"

@@ -22,12 +22,11 @@
 use std::collections::BTreeMap;
 
 use numascan_numasim::{SocketId, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::spec::{ColumnSpec, TableSpec};
 
 /// The data placement strategy of a table or column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementStrategy {
     /// Whole columns on single sockets, rotating per column.
     RoundRobin,

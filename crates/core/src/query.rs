@@ -1,9 +1,7 @@
 //! Query specifications and the query-generator interface.
 
-use serde::{Deserialize, Serialize};
-
 /// Reference to a column of a placed table in the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     /// Index of the table in the catalog.
     pub table: usize,
@@ -12,7 +10,7 @@ pub struct ColumnRef {
 }
 
 /// What a query does with its column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryKind {
     /// `SELECT COLx FROM TBL WHERE COLx BETWEEN ? AND ?` — the statement every
     /// client of the paper's sensitivity analysis executes: find the
@@ -48,7 +46,7 @@ impl QueryKind {
 }
 
 /// One query issued by a client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// The selected column.
     pub column: ColumnRef,

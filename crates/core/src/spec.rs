@@ -6,10 +6,8 @@
 //! need — row count, number of distinct values (hence the bitcase), and the
 //! derived sizes of the index vector, dictionary and inverted index.
 
-use serde::{Deserialize, Serialize};
-
 /// Metadata of one dictionary-encoded column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSpec {
     /// Column name.
     pub name: String,
@@ -95,7 +93,7 @@ impl ColumnSpec {
 }
 
 /// Metadata of a table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSpec {
     /// Table name.
     pub name: String,

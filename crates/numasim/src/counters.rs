@@ -7,15 +7,13 @@
 //! interconnect. The simulation engine accumulates the same quantities here so
 //! the benchmark harness can print the companion metrics of every figure.
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::{SocketId, Topology};
 
 /// Size of a cache line in bytes; every LLC miss transfers one line.
 pub const CACHE_LINE_BYTES: f64 = 64.0;
 
 /// Counters attributed to one socket.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SocketCounters {
     /// Bytes served by this socket's memory controllers (to any core).
     pub mc_bytes: f64,
@@ -30,7 +28,7 @@ pub struct SocketCounters {
 }
 
 /// Counters attributed to the interconnect as a whole.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkCounters {
     /// Bytes of payload data moved between sockets.
     pub qpi_data_bytes: f64,
@@ -39,7 +37,7 @@ pub struct LinkCounters {
 }
 
 /// The full set of machine counters for one measurement interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HwCounters {
     /// Per-socket counters.
     pub sockets: Vec<SocketCounters>,

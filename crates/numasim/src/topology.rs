@@ -14,11 +14,9 @@
 //! | [`Topology::thirty_two_socket_ivybridge_ex`] | 32 | 112 ns | 193 ns | 500 ns | 47.5 GiB/s | 11.8 GiB/s | 9.8 GiB/s |
 //! | [`Topology::eight_socket_westmere_ex`]   | 8  | 163 ns | 195 ns | 245 ns | 19.3 GiB/s | 10.3 GiB/s | 4.6 GiB/s |
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a NUMA socket (a processor package with its own memory
 /// controllers and local DRAM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketId(pub u16);
 
 impl SocketId {
@@ -37,7 +35,7 @@ impl std::fmt::Display for SocketId {
 
 /// A hardware context (a hyperthread slot) on which exactly one task can run
 /// at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HwContext {
     /// Socket the context belongs to.
     pub socket: SocketId,
@@ -53,7 +51,7 @@ pub struct HwContext {
 /// protocol of the Westmere-EX machine generates coherence traffic on the
 /// interconnect even for purely local accesses, which prevents the aggregate
 /// local bandwidth from being the sum of per-socket bandwidths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoherenceProtocol {
     /// Directory-based coherence (Ivybridge-EX): coherence traffic is a small
     /// fraction of data traffic and stays mostly off the critical path.
@@ -71,7 +69,7 @@ pub enum CoherenceProtocol {
 }
 
 /// A well-known machine shape. Used by the benchmark harness to label results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// The fully interconnected 4-socket Ivybridge-EX server of Figure 2.
     FourSocketIvybridgeEx,
@@ -84,7 +82,7 @@ pub enum TopologyKind {
 }
 
 /// Description of the per-socket hardware resources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocketSpec {
     /// Physical cores per socket.
     pub cores: u32,
@@ -119,7 +117,7 @@ impl SocketSpec {
 }
 
 /// Latency and per-pair interconnect bandwidth as a function of hop distance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopProfile {
     /// Idle latency of a local access, nanoseconds.
     pub local_latency_ns: f64,
@@ -134,7 +132,7 @@ pub struct HopProfile {
 }
 
 /// A complete machine description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Human-readable name of the machine.
     pub name: String,

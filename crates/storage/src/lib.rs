@@ -48,7 +48,7 @@ pub mod table;
 pub mod value;
 pub mod zonemap;
 
-pub use bitpack::{BitPackedIter, BitPackedVec};
+pub use bitpack::{BitPackedIter, BitPackedVec, KernelTier};
 pub use bitvector::BitVector;
 pub use column::{DictColumn, IndexVector, IvIter, IvLayoutKind};
 pub use dictionary::Dictionary;

@@ -3,6 +3,7 @@
 
 use numascan::bench::experiments;
 use numascan::bench::ExperimentScale;
+use numascan::scheduler::SchedulingStrategy;
 
 fn tiny_scale() -> ExperimentScale {
     ExperimentScale {
@@ -46,8 +47,9 @@ fn claim_stealing_memory_intensive_tasks_hurts() {
 fn claim_unnecessary_partitioning_hurts_at_scale() {
     // Section 6.1.4 / Figure 12: partitioning across all sockets of the
     // rack-scale machine loses a large fraction of the RR throughput.
-    // Only the RR and IVP32 rows are asserted on, so only they are run;
-    // each row builds its own machine, so its numbers match the full figure.
+    // Only the Bound cells of the RR and IVP32 rows are asserted on, so only
+    // they are run; each cell builds its own machine, so its numbers match
+    // the full figure.
     let scale = ExperimentScale {
         rows: 1_000_000,
         payload_columns: 32,
@@ -56,8 +58,7 @@ fn claim_unnecessary_partitioning_hurts_at_scale() {
         max_queries: 400,
         max_virtual_seconds: 20.0,
     };
-    // Row cells: placement, OS, Target, Bound.
-    let bound = |parts| -> f64 { experiments::fig12::row(&scale, parts)[3].parse().unwrap() };
+    let bound = |parts| experiments::fig12::cell(&scale, parts, SchedulingStrategy::Bound);
     let (rr, ivp32) = (bound(1), bound(32));
     assert!(
         ivp32 < 0.75 * rr,
