@@ -348,6 +348,16 @@ impl GroupAccumulator {
         }
     }
 
+    /// Folds `count` qualifying rows, already reduced to their wrapping
+    /// `sum`, `min` and `max`, into slot `group`.
+    #[inline]
+    fn update_reduced(&mut self, group: usize, count: u64, sum: i64, min: i64, max: i64) {
+        self.count[group] += count;
+        self.sum[group] = self.sum[group].wrapping_add(sum);
+        self.min[group] = self.min[group].min(min);
+        self.max[group] = self.max[group].max(max);
+    }
+
     /// Element-wise merge of another accumulator over the same group domain
     /// (the deterministic part-order reduce runs over these).
     ///
@@ -431,13 +441,37 @@ impl<'a> RowReader<'a> {
         RowReader { value, group, offset }
     }
 
-    /// Folds the row at filter-local position `pos` into `acc`.
-    #[inline]
-    fn feed(&self, pos: usize, acc: &mut GroupAccumulator) {
-        let row = pos + self.offset;
-        let value = *self.value.value_at(row);
-        let group = self.group.map_or(0, |g| g.vid_at(row) as usize);
-        acc.update(group, value);
+    /// Folds the rows at the ascending filter-local `positions` into `acc`,
+    /// gathering each column's codes a batch at a time
+    /// ([`numascan_storage::IndexVector::gather`]). Without a group column a
+    /// batch reduces in registers and updates the global slot once.
+    fn fold(&self, positions: &[u32], acc: &mut GroupAccumulator) {
+        const BATCH: usize = 256;
+        let (mut vids, mut groups) = ([0u32; BATCH], [0u32; BATCH]);
+        let values = self.value.dictionary();
+        for batch in positions.chunks(BATCH) {
+            let vids = &mut vids[..batch.len()];
+            self.value.index_vector().gather(batch, self.offset, vids);
+            match self.group {
+                None => {
+                    let (mut sum, mut min, mut max) = (0i64, i64::MAX, i64::MIN);
+                    for &vid in vids.iter() {
+                        let value = *values.value(vid);
+                        sum = sum.wrapping_add(value);
+                        min = min.min(value);
+                        max = max.max(value);
+                    }
+                    acc.update_reduced(0, batch.len() as u64, sum, min, max);
+                }
+                Some(group) => {
+                    let groups = &mut groups[..batch.len()];
+                    group.index_vector().gather(batch, self.offset, groups);
+                    for (&group, &vid) in groups.iter().zip(vids.iter()) {
+                        acc.update(group as usize, *values.value(vid));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -485,9 +519,7 @@ pub fn accumulate_filtered(
 /// the fused kernel calls it from every window loop.
 #[inline(never)]
 pub fn accumulate_positions(positions: &[u32], reader: &RowReader<'_>, acc: &mut GroupAccumulator) {
-    for &pos in positions {
-        reader.feed(pos as usize, acc);
-    }
+    reader.fold(positions, acc);
 }
 
 /// The naive scalar oracle the fused path is tested against: a plain row

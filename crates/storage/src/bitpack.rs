@@ -29,10 +29,10 @@
 //! lane as cheaply as a range scan rejects them. Surviving windows are
 //! decided in registers, by run count and bitcase alone:
 //!
-//! * when the list has no more runs than the window has lanes, one lane test
-//!   per run is ORed — an equality test (xor, then a carry into each lane's
-//!   top bit detects a nonzero lane) for a single vid, the range test for a
-//!   longer run,
+//! * when the list has few runs (no more than the window has lanes; up to 16
+//!   on the `avx512` tier), one lane test per run is ORed — an equality test
+//!   (xor, then a carry into each lane's top bit detects a nonzero lane) for
+//!   a single vid, the range test for a longer run,
 //! * otherwise each lane's code is shifted out of the loaded window and
 //!   probed against the list's bitmap (a binary search over the runs stands
 //!   in when the list spans too many vids for a bitmap).
@@ -56,6 +56,8 @@
 //!   one `pext(m, high)`, and since the sink is inlined into that copy,
 //!   `count_ones` and `trailing_zeros` become `popcnt` and `tzcnt` in the
 //!   kernel and in its consumers alike.
+//! * **`avx512`** (the `bmi2` set plus AVX-512F, BW and VBMI) unpacks codes
+//!   into vector lanes instead of testing them in place; see below.
 //!
 //! `pext` and the fold agree on every word a kernel compacts. `pext(m,
 //! high)` packs the bits of `m` under the sentinel mask `high`, lane 0's
@@ -70,6 +72,52 @@
 //! mask, so there the `bmi2` tier can lose to the fold; detection does not
 //! tell those CPUs apart yet. The tier-parity tests run every oracle and a
 //! bitcase × range × sub-range property once per tier the host supports.
+//!
+//! # The `avx512` tier
+//!
+//! A **block** of 16 codes of `b` bits is `2b` bytes long, so every block
+//! that starts on a row divisible by 8 starts on a byte boundary. For
+//! bitcases 1..=25 one unaligned 64-byte load and one `vpermb` with a
+//! loop-invariant index give lane `i` (of 16 × 32 bits) the four bytes from
+//! the one holding bit `i·b` of the block on. The code sits at bit
+//! `s = i·b mod 8` of the lane, and `s + b ≤ 32`. One `vpsllvd` by `32 - s -
+//! b` left-aligns it: the lane becomes `code · 2^u + g`, where `u = 32 - b`
+//! and the garbage `g < 2^u` is whatever lay below the code. No mask is
+//! needed, since the bits above the code are shifted out. The test of
+//! `min ≤ code ≤ max` is then one unsigned compare (`vpcmpud`) on
+//!
+//! ```text
+//! lane - (min · 2^u)  ≤  (max - min) · 2^u + (2^u - 1)      (mod 2^32)
+//! ```
+//!
+//! For `code ≥ min` the left side is `(code - min) · 2^u + g`, which holds
+//! iff `code - min ≤ max - min`. For `code < min` it wraps to
+//! `(2^b + code - min) · 2^u + g`, and `2^b + code - min > max - min`, so
+//! it fails. The compare yields a 16-row `k`-mask, and four blocks make one
+//! 64-row match word. From bitcase 26 up, a code and its offset can span 39
+//! bits, so blocks hold 8 codes in 64-bit lanes (`vpsllvq`, `vpcmpuq`), and
+//! eight blocks make the word. The same algebra runs at width 64.
+//!
+//! The vector body covers the rows of a scan from its first row divisible
+//! by 64 to its last, and stops early where a block's 64-byte load would
+//! end past the payload (a few hundred rows before the vector's end at
+//! most). The rows before and after it take the `bmi2` kernels, so the mask
+//! stream still tiles the range: windows of up to `64 / b` rows at the
+//! edges, 64-row words in between. Per entry:
+//!
+//! * a range or a one-run list is the compare alone;
+//! * an `IN` list of up to 16 runs first compares each block against its
+//!   bounding range, and only a block with a candidate ORs one compare per
+//!   run;
+//! * a longer list probes each candidate lane's code against the list's
+//!   bitmap (or searches its runs), one lane at a time;
+//! * `count_range` popcounts the match words;
+//! * the batched kernel unpacks each block once, tests it against the union
+//!   of the predicates, and only for a 64-row word with a union hit tests
+//!   the blocks against every attached predicate.
+//!
+//! Every `unsafe` step of the tier lives in the private `avx512` module,
+//! which only a token made after detection can enter.
 //!
 //! The pre-rework scalar kernel is retained as [`BitPackedVec::scan_range_scalar`],
 //! the reference oracle the property tests compare every SWAR path against.
@@ -89,6 +137,10 @@ pub enum KernelTier {
     /// window's sentinel bits, and `count_ones`/`trailing_zeros` compile to
     /// `popcnt`/`tzcnt` in the kernels and in the sinks they inline.
     Bmi2,
+    /// The `bmi2` set plus AVX-512F, BW and VBMI: one `vpermb` unpacks 16
+    /// codes (8 from bitcase 26 up) into vector lanes, one unsigned compare
+    /// tests them all, and four such blocks make a 64-row match word.
+    Avx512,
 }
 
 impl KernelTier {
@@ -102,6 +154,12 @@ impl KernelTier {
                 && is_x86_feature_detected!("popcnt")
                 && is_x86_feature_detected!("lzcnt")
             {
+                if is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vbmi")
+                {
+                    return KernelTier::Avx512;
+                }
                 return KernelTier::Bmi2;
             }
             KernelTier::Portable
@@ -113,13 +171,25 @@ impl KernelTier {
         match self {
             KernelTier::Portable => "portable",
             KernelTier::Bmi2 => "bmi2",
+            KernelTier::Avx512 => "avx512",
+        }
+    }
+
+    /// The most runs an `IN` list may have for the kernels of this tier to
+    /// OR one lane test per run, rather than probe each candidate lane's
+    /// code against the list: the lanes of one window at `bits` bits, or 16
+    /// on the `avx512` tier, whose lane tests cover a whole block at once.
+    fn or_runs(self, bits: u8) -> usize {
+        match self {
+            KernelTier::Avx512 => 16.max(64 / usize::from(bits)),
+            _ => 64 / usize::from(bits),
         }
     }
 
     /// Every tier this host can run, the portable one first.
     #[cfg(test)]
     pub(crate) fn supported() -> Vec<KernelTier> {
-        [KernelTier::Portable, KernelTier::Bmi2]
+        [KernelTier::Portable, KernelTier::Bmi2, KernelTier::Avx512]
             .into_iter()
             .filter(|&tier| tier <= KernelTier::detected())
             .collect()
@@ -331,6 +401,11 @@ impl Compact for Fold {
 #[cfg(target_arch = "x86_64")]
 use pext::Pext;
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
+#[cfg(target_arch = "x86_64")]
+use avx512::Avx512;
+
 /// The BMI2 tier's compaction, in a module of its own so that only the
 /// `unsafe` [`Pext::new`] can make one.
 #[cfg(target_arch = "x86_64")]
@@ -433,8 +508,8 @@ struct PredicateLanes<'a> {
 enum RunTest<'a> {
     /// A range, or a list of one run: the bounding test is the answer.
     One,
-    /// No more runs than the window has lanes: OR one lane test per run.
-    Any(AnyRun),
+    /// Few runs (see [`KernelTier::or_runs`]): OR one lane test per run.
+    Any(AnyRun<'a>),
     /// More runs than lanes: probe every lane's code against the bitmap.
     Bitmap(SpanBitmap<'a>),
     /// More runs than lanes over a span too wide for a bitmap: binary-search
@@ -445,16 +520,20 @@ enum RunTest<'a> {
 /// The lane tests of a list's runs, ORed per window: a single-vid run is an
 /// equality test (five word operations), a longer run a range test
 /// ([`BatchLane`]).
-struct AnyRun {
+struct AnyRun<'a> {
     /// Each single-vid run's code replicated into every lane.
     points: Vec<u64>,
     /// Every other run's range test.
     spans: Vec<BatchLane>,
     /// The low `bits - 1` bits of every lane.
     low: u64,
+    /// The runs themselves, the last one ending at the bound: the `avx512`
+    /// tier tests them on vector lanes.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    runs: &'a [VidRange],
 }
 
-impl AnyRun {
+impl AnyRun<'_> {
     /// Decides the `candidates` of window `x`; returns the compacted mask.
     #[inline(always)]
     fn hits<C: Compact>(&self, c: C, candidates: u64, x: u64, plan: &WindowPlan) -> u64 {
@@ -487,8 +566,13 @@ struct SpanBitmap<'a> {
 }
 
 impl<'a> PredicateLanes<'a> {
-    /// `None` when no code a `bits`-bit lane can hold qualifies.
-    fn compile(bits: u8, predicate: &'a EncodedPredicate) -> Option<PredicateLanes<'a>> {
+    /// `None` when no code a `bits`-bit lane can hold qualifies. A list of
+    /// up to `or_runs` runs ORs one lane test per run.
+    fn compile(
+        bits: u8,
+        predicate: &'a EncodedPredicate,
+        or_runs: usize,
+    ) -> Option<PredicateLanes<'a>> {
         let mut bound = predicate.lane_bounds(bits)?;
         // A list's runs holding a code the lane can store; the bound ends
         // with the last of them.
@@ -505,7 +589,7 @@ impl<'a> PredicateLanes<'a> {
         let runs = match list {
             Some((list, runs)) => match (runs.len(), list.span_bitmap()) {
                 (1, _) => RunTest::One,
-                (n, _) if n <= (64 / bits) as usize => {
+                (n, _) if n <= or_runs => {
                     let replicate =
                         |code: u64| (0..64 / bits).fold(0, |word, i| word | code << (i * bits));
                     let (points, spans): (Vec<&VidRange>, Vec<&VidRange>) =
@@ -514,6 +598,7 @@ impl<'a> PredicateLanes<'a> {
                         points: points.iter().map(|r| replicate(r.first.into())).collect(),
                         spans: spans.into_iter().map(lane).collect(),
                         low: replicate(low_mask(bits - 1)),
+                        runs,
                     })
                 }
                 (_, Some((base, words))) => {
@@ -560,6 +645,14 @@ fn search_hits(list: &VidRuns, candidates: u64, x: u64, bits: u32) -> u64 {
 }
 
 impl SpanBitmap<'_> {
+    /// 1 when `code` is in the list, else 0: a code outside the span clamps
+    /// onto the zero padding word.
+    #[inline(always)]
+    fn bit(self, code: u32) -> u64 {
+        let offset = code.wrapping_sub(self.base).min(self.pad) as usize;
+        self.words[offset >> 6] >> (offset & 63) & 1
+    }
+
     /// Decides the `candidates` of window `x` by probing every lane's code
     /// against the bitmap — a fixed trip count without branches, since a
     /// code outside the span clamps onto the zero padding word; returns the
@@ -572,8 +665,7 @@ impl SpanBitmap<'_> {
         let (lane, lanes) = (low_mask(bits), low_mask(64 / bits));
         let (mut rest, mut bit, mut hits) = (x, 1u64, 0);
         while bit <= lanes {
-            let offset = ((rest & lane) as u32).wrapping_sub(self.base).min(self.pad) as usize;
-            hits |= (self.words[offset >> 6] >> (offset & 63) & 1).wrapping_neg() & bit;
+            hits |= self.bit((rest & lane) as u32).wrapping_neg() & bit;
             rest >>= bits;
             bit <<= 1;
         }
@@ -777,10 +869,12 @@ impl BitPackedVec {
         it
     }
 
-    /// The word-parallel (SWAR) mask kernel for any encoded predicate. For
-    /// every run of up to `64 / bits` consecutive rows of `positions` it
-    /// calls `sink(base, n, mask)`: bit `i` of `mask` (for `i < n`) is set iff
-    /// row `base + i` holds a qualifying code. Bases are emitted in ascending
+    /// The word-parallel mask kernel for any encoded predicate. For every
+    /// window of 1..=64 consecutive rows of `positions` it calls
+    /// `sink(base, n, mask)`: bit `i` of `mask` (for `i < n`) is set iff row
+    /// `base + i` holds a qualifying code. The windows' lengths depend on the
+    /// kernel tier: `64 / bits` rows on the SWAR tiers, and 64-row words in
+    /// the `avx512` tier's vector body. Bases are emitted in ascending
     /// order, runs tile the clamped range exactly, and bits `>= n` are zero —
     /// except that a predicate no code of the bitcase can satisfy (`Empty`,
     /// an inverted range, or every vid beyond the bitcase) short-circuits and
@@ -791,8 +885,8 @@ impl BitPackedVec {
     /// Other `IN` lists take the lane test of their bounding range first:
     /// windows without a candidate lane cost exactly what a range scan costs.
     /// Candidate lanes are decided in registers — one lane test per run ORed
-    /// together when the list has no more runs than the window has lanes,
-    /// else a probe of each candidate lane's code against the list.
+    /// together when the list has few runs ([`KernelTier`]'s OR limit), else
+    /// a probe of each candidate lane's code against the list.
     pub fn scan_masks<F: FnMut(usize, u32, u64)>(
         &self,
         positions: Range<usize>,
@@ -815,8 +909,10 @@ impl BitPackedVec {
         predicate: &EncodedPredicate,
         sink: F,
     ) {
-        if let Some(lanes) = PredicateLanes::compile(self.bits, predicate) {
-            self.scan_tiered(positions, lanes.bound, &lanes.runs, sink);
+        let tier = tier();
+        if let Some(lanes) = PredicateLanes::compile(self.bits, predicate, tier.or_runs(self.bits))
+        {
+            self.scan_tiered(tier, positions, lanes.bound, &lanes.runs, sink);
         }
     }
 
@@ -829,7 +925,8 @@ impl BitPackedVec {
     /// it fully contains is compared simultaneously via per-lane sentinel-bit
     /// subtraction with loop-invariant constants; codes crossing the window
     /// edge are simply where the next window begins. See the module docs for
-    /// the algebra.
+    /// the algebra, and for the `avx512` tier's blocks of 16 or 8 unpacked
+    /// lanes.
     #[inline]
     pub fn scan_range_masks<F: FnMut(usize, u32, u64)>(
         &self,
@@ -839,19 +936,22 @@ impl BitPackedVec {
         sink: F,
     ) {
         let bound = VidRange { first: min, last: max };
-        self.scan_tiered(positions, bound, &RunTest::One, sink);
+        self.scan_tiered(tier(), positions, bound, &RunTest::One, sink);
     }
 
-    /// Runs [`BitPackedVec::scan_bounded`] on the kernel tier.
+    /// Runs [`BitPackedVec::scan_bounded`] on `tier`.
     #[inline(always)]
     fn scan_tiered<F: FnMut(usize, u32, u64)>(
         &self,
+        tier: KernelTier,
         positions: Range<usize>,
         bound: VidRange,
         runs: &RunTest<'_>,
         sink: F,
     ) {
-        match tier() {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => Avx512::proved().scan_bounded(self, positions, bound, runs, sink),
             // SAFETY: `tier()` reports BMI2 only where it was detected.
             #[cfg(target_arch = "x86_64")]
             KernelTier::Bmi2 => unsafe { self.scan_bounded_bmi2(positions, bound, runs, sink) },
@@ -1001,6 +1101,8 @@ impl BitPackedVec {
         sink: F,
     ) {
         match tier() {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => Avx512::proved().scan_batch(self, positions, predicates, sink),
             // SAFETY: `tier()` reports BMI2 only where it was detected.
             #[cfg(target_arch = "x86_64")]
             KernelTier::Bmi2 => unsafe { self.scan_batch_bmi2(positions, predicates, sink) },
@@ -1025,11 +1127,12 @@ impl BitPackedVec {
         // Ranges (and one-run lists) keep the tight branch-free lane loop;
         // other lists are decided in a loop of their own. Slots of
         // unsatisfiable predicates are never written and stay zero.
+        let or_runs = KernelTier::Portable.or_runs(self.bits);
         let mut ranges: Vec<(usize, BatchLane)> = Vec::new();
         let mut lists: Vec<(usize, PredicateLanes<'_>)> = Vec::new();
         let mut union: Option<VidRange> = None;
         for (slot, predicate) in predicates.iter().enumerate() {
-            let Some(lanes) = PredicateLanes::compile(self.bits, predicate) else {
+            let Some(lanes) = PredicateLanes::compile(self.bits, predicate, or_runs) else {
                 continue;
             };
             let b = lanes.bound;
@@ -1120,11 +1223,14 @@ impl BitPackedVec {
     /// 5 % selectivity, a 2-vCPU Sapphire Rapids Xeon) that saves the fold
     /// on the `portable` tier, 1.3-1.7x, but only one `pext` on the `bmi2`
     /// tier, 1.05-1.1x; there it counts at 1.9-3.7 GB/s against the
-    /// portable tier's 1.0-2.0. No statement counts through it yet (a count
-    /// is still materialized rows); the release gates time it against the
-    /// scalar oracle.
+    /// portable tier's 1.0-2.0. The `avx512` tier popcounts its 64-row match
+    /// words instead. No statement counts through it yet (a count is still
+    /// materialized rows); the release gates time it against the scalar
+    /// oracle.
     pub fn count_range(&self, positions: Range<usize>, min: u32, max: u32) -> usize {
         match tier() {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => Avx512::proved().count_range(self, positions, min, max),
             // SAFETY: `tier()` reports BMI2 only where it was detected.
             #[cfg(target_arch = "x86_64")]
             KernelTier::Bmi2 => unsafe { self.count_range_bmi2(positions, min, max) },
@@ -1291,6 +1397,15 @@ mod tests {
         for tier in KernelTier::supported() {
             with_tier(tier, || check(tier));
         }
+    }
+
+    #[test]
+    fn the_tiers_run_here_end_with_the_detected_one() {
+        let supported = KernelTier::supported();
+        let names: Vec<&str> = supported.iter().map(|tier| tier.name()).collect();
+        println!("kernel tiers run here: {}", names.join(", "));
+        assert_eq!(supported.first(), Some(&KernelTier::Portable));
+        assert_eq!(supported.last(), Some(&KernelTier::detected()));
     }
 
     #[test]
@@ -1556,7 +1671,8 @@ mod tests {
 
     /// `IN` lists of every kernel shape for a bitcase: one run, a few runs
     /// (OR side), more runs than lanes in a narrow span (bitmap probe) and in
-    /// a span too wide for a bitmap, and runs ending at the top code.
+    /// a span too wide for a bitmap, 16 and 17 runs (the `avx512` tier's OR
+    /// limit), and runs ending at the top code.
     fn list_predicates(bits: u8) -> Vec<EncodedPredicate> {
         let lane_max = low_mask(u32::from(bits)) as u32;
         let k = 64 / u32::from(bits);
@@ -1572,6 +1688,10 @@ mod tests {
             spread(k + 1, 2),
             spread(3 * k + 2, 5),
             spread(k + 2, lane_max / (k + 2) + 1),
+            spread(16, 3),
+            spread(17, 3),
+            spread(40, 7),
+            spread(20, lane_max / 20 + 1),
             EncodedPredicate::VidList(VidRuns::from_vids([
                 lane_max / 3,
                 lane_max.saturating_sub(2),
@@ -1636,6 +1756,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A list of `runs` single-vid runs spread over the bitcase's codes.
+    fn spread_list(bits: u8, runs: u32) -> EncodedPredicate {
+        let lane_max = low_mask(u32::from(bits)) as u32;
+        let step = (lane_max / runs).max(1);
+        EncodedPredicate::from_vids((0..runs).map(|i| (i * step + step / 2) & lane_max))
+    }
+
+    #[test]
+    fn every_tier_matches_the_oracle_at_every_row_residue() {
+        // Long enough for the avx512 tier's vector body to run between a head
+        // and a tail of every length at every bitcase shown (both sides of
+        // the 25/26 lane-width boundary); the ranges that end at the last row
+        // take the body as close to the end of the payload as its loads go.
+        on_every_tier(|tier| {
+            for bits in [1u8, 2, 3, 5, 7, 8, 9, 12, 16, 17, 24, 25, 26, 27, 31, 32] {
+                let values = mixed_values(bits, 1024 + 37);
+                let packed = BitPackedVec::from_slice(bits, &values);
+                let lane_max = low_mask(u32::from(bits)) as u32;
+                let (min, max) = (lane_max / 4, lane_max - lane_max / 4);
+                let predicates = [
+                    range(min, max),
+                    spread_list(bits, 1),
+                    spread_list(bits, 16),
+                    spread_list(bits, 40),
+                ];
+                let matches: Vec<Vec<bool>> = predicates
+                    .iter()
+                    .map(|p| values.iter().map(|&v| p.matches(v)).collect())
+                    .collect();
+                let len = values.len();
+                for residue in 0..64 {
+                    for rows in [residue..len, residue..len - residue] {
+                        let case = format!("{}: bitcase {bits}, rows {rows:?}", tier.name());
+                        let expected: Vec<Vec<usize>> = matches
+                            .iter()
+                            .map(|m| rows.clone().filter(|&r| m[r]).collect())
+                            .collect();
+                        for (predicate, expected) in predicates.iter().zip(&expected) {
+                            let got = tiled_positions(&packed, rows.clone(), predicate);
+                            assert_eq!(got.as_ref(), Ok(expected), "{case}, {predicate:?}");
+                        }
+                        let count = packed.count_range(rows.clone(), min, max);
+                        assert_eq!(count, expected[0].len(), "count: {case}");
+                        assert_eq!(
+                            batch_positions(&packed, rows.clone(), &predicates),
+                            expected,
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        });
     }
 
     #[test]
@@ -1708,13 +1882,54 @@ mod tests {
         }
     }
 
+    /// On every tier the host supports: the range kernel selects exactly the
+    /// scalar oracle's rows, the count agrees, an `IN` list of `vids`
+    /// selects exactly a scalar filter's rows, and the batched kernel agrees
+    /// with both. `min` reaches one past the largest code, and the span is
+    /// log-uniform, so point, narrow and wide ranges all occur.
+    fn check_every_tier(
+        bits: u8,
+        values: &[u32],
+        bounds: (u64, u64),
+        sub: Range<usize>,
+        vids: &[u32],
+    ) -> Result<(), String> {
+        let lane_max = low_mask(u32::from(bits));
+        let packed = BitPackedVec::from_slice(bits, values);
+        let min = (bounds.0 % (lane_max + 2)).min(u64::from(u32::MAX)) as u32;
+        let span = (bounds.1 % (lane_max + 1)) >> (bounds.1 >> 59);
+        let max = min.saturating_add(span as u32);
+        let (range_pred, list_pred) = (
+            EncodedPredicate::Range(VidRange { first: min, last: max }),
+            EncodedPredicate::from_vids(vids.iter().map(|&v| v & lane_max as u32)),
+        );
+        let end = sub.end.min(values.len());
+        let expected_list: Vec<usize> =
+            (sub.start.min(end)..end).filter(|&p| list_pred.matches(values[p])).collect();
+        for tier in KernelTier::supported() {
+            with_tier(tier, || -> Result<(), String> {
+                let case = format!("{}: bitcase {bits}, [{min}, {max}] over {sub:?}", tier.name());
+                let expected = scalar_matches(&packed, sub.clone(), min, max);
+                let got = tiled_positions(&packed, sub.clone(), &range_pred)?;
+                prop_assert_eq!(got, expected, "{case}");
+                let count = packed.count_range(sub.clone(), min, max);
+                prop_assert_eq!(count, expected.len(), "{case}");
+                let got = tiled_positions(&packed, sub.clone(), &list_pred)?;
+                prop_assert_eq!(got, expected_list, "{case}, {list_pred:?}");
+                let batch = [range_pred.clone(), list_pred.clone()];
+                let got = batch_positions(&packed, sub.clone(), &batch);
+                prop_assert_eq!(got, [expected, expected_list.clone()], "{case}, {list_pred:?}");
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Bitcase x predicate range x row sub-range, on every tier the host
-        /// supports: the range kernel selects exactly the scalar oracle's
-        /// rows, the count agrees, an `IN` list selects exactly a scalar
-        /// filter's rows, and the batched kernel agrees with both.
+        /// Bitcase x predicate range x row sub-range x `IN` list, on short
+        /// vectors.
         #[test]
         fn every_tier_matches_the_scalar_oracle(
             bits in 1u8..=32,
@@ -1723,38 +1938,34 @@ mod tests {
             rows in (0usize..450, 0usize..450),
             vids in collection::vec(any::<u32>(), 1..12),
         ) {
-            let lane_max = low_mask(u32::from(bits));
-            let values: Vec<u32> = raw.iter().map(|&v| v & lane_max as u32).collect();
-            let packed = BitPackedVec::from_slice(bits, &values);
-            // `min` reaches one past the largest code; the span is
-            // log-uniform, so point, narrow and wide ranges all occur.
-            let min = (bounds.0 % (lane_max + 2)).min(u64::from(u32::MAX)) as u32;
-            let span = (bounds.1 % (lane_max + 1)) >> (bounds.1 >> 59);
-            let max = min.saturating_add(span as u32);
-            let (range_pred, list_pred) = (
-                EncodedPredicate::Range(VidRange { first: min, last: max }),
-                EncodedPredicate::from_vids(vids.iter().map(|&v| v & lane_max as u32)),
-            );
-            let sub = rows.0..rows.0 + rows.1;
-            let end = sub.end.min(values.len());
-            let expected_list: Vec<usize> =
-                (sub.start.min(end)..end).filter(|&p| list_pred.matches(values[p])).collect();
-            for tier in KernelTier::supported() {
-                with_tier(tier, || -> Result<(), String> {
-                    let case = format!("{}: [{min}, {max}] over {sub:?}", tier.name());
-                    let expected = scalar_matches(&packed, sub.clone(), min, max);
-                    let got = tiled_positions(&packed, sub.clone(), &range_pred)?;
-                    prop_assert_eq!(got, expected, "{case}");
-                    let count = packed.count_range(sub.clone(), min, max);
-                    prop_assert_eq!(count, expected.len(), "{case}");
-                    let got = tiled_positions(&packed, sub.clone(), &list_pred)?;
-                    prop_assert_eq!(got, expected_list, "{case}");
-                    let batch = [range_pred.clone(), list_pred.clone()];
-                    let got = batch_positions(&packed, sub.clone(), &batch);
-                    prop_assert_eq!(got, [expected, expected_list.clone()], "{case}");
-                    Ok(())
-                })?;
-            }
+            let lane_max = low_mask(u32::from(bits)) as u32;
+            let values: Vec<u32> = raw.iter().map(|&v| v & lane_max).collect();
+            check_every_tier(bits, &values, bounds, rows.0..rows.0 + rows.1, &vids)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The same on vectors of 4 096 rows and more, where the `avx512`
+        /// tier's vector body carries most rows, with lists of up to 40 runs
+        /// (past that tier's OR limit of 16) and vids drawn from a few
+        /// thousand codes, so that lists match.
+        #[test]
+        fn every_tier_matches_the_scalar_oracle_on_long_vectors(
+            bits in 1u8..=32,
+            len in 4096usize..4800,
+            seed in any::<u32>(),
+            bounds in (any::<u64>(), any::<u64>()),
+            rows in (0usize..300, 0usize..5000),
+            vids in collection::vec(0u32..4096, 1..40),
+        ) {
+            let lane_max = low_mask(u32::from(bits)) as u32;
+            let values: Vec<u32> = (0..len as u32)
+                .map(|i| (i ^ seed).wrapping_mul(2654435761).rotate_left(seed % 32) & lane_max)
+                .map(|v| if seed % 2 == 0 { v } else { v % 4096 })
+                .collect();
+            check_every_tier(bits, &values, bounds, rows.0..rows.0 + rows.1, &vids)?;
         }
     }
 }

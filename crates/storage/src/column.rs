@@ -102,6 +102,33 @@ impl IndexVector {
         }
     }
 
+    /// Decodes the codes of rows `offset + p`, for each `p` of the ascending
+    /// `positions`, into the front of `out`: a batch gather. Bounds are
+    /// checked once per batch, on its last row; the bit-packed layout then
+    /// decodes in a loop, and the run-length layout walks its runs with a
+    /// cursor.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `positions` or the last row is out of
+    /// bounds.
+    pub fn gather(&self, positions: &[u32], offset: usize, out: &mut [u32]) {
+        let out = &mut out[..positions.len()];
+        let Some(&last) = positions.last() else {
+            return;
+        };
+        let last = last as usize + offset;
+        assert!(last < self.len(), "position {last} out of bounds (len {})", self.len());
+        debug_assert!(positions.is_sorted(), "gather takes ascending positions");
+        match self {
+            IndexVector::BitPacked(v) => {
+                for (code, &pos) in out.iter_mut().zip(positions) {
+                    *code = v.decode_at(pos as usize + offset);
+                }
+            }
+            IndexVector::Rle(v) => v.gather(positions, offset, out),
+        }
+    }
+
     /// Iterates over all stored values.
     pub fn iter(&self) -> IvIter<'_> {
         self.iter_range(0..self.len())
@@ -416,6 +443,36 @@ mod tests {
             assert_eq!(col.value_at(i), v);
         }
         assert_eq!(col.name(), "c1");
+    }
+
+    #[test]
+    fn gather_decodes_what_get_decodes_on_both_layouts() {
+        // Runs of 1 to 9 equal codes, so the run cursor both steps to the
+        // next run and skips past several.
+        let codes: Vec<u32> = (0..3000u32).map(|i| (i / (1 + i % 9)) % 200).collect();
+        let packed = BitPackedVec::from_slice(8, &codes);
+        let layouts =
+            [IndexVector::Rle(RleVec::from_bitpacked(&packed)), IndexVector::BitPacked(packed)];
+        let positions: Vec<u32> = (0..2900u32).filter(|p| p % 7 < 3 || p % 97 == 0).collect();
+        for iv in &layouts {
+            for (offset, batch) in
+                [(0, &positions[..]), (100, &positions[..]), (5, &positions[..1]), (0, &[])]
+            {
+                let mut out = vec![u32::MAX; batch.len() + 3];
+                iv.gather(batch, offset, &mut out);
+                let expected: Vec<u32> =
+                    batch.iter().map(|&p| iv.get(p as usize + offset)).collect();
+                assert_eq!(&out[..batch.len()], expected, "{:?}, offset {offset}", iv.layout());
+                assert!(out[batch.len()..].iter().all(|&c| c == u32::MAX), "wrote past the batch");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_checks_the_last_row() {
+        let iv = IndexVector::BitPacked(BitPackedVec::from_slice(8, &[1, 2, 3]));
+        iv.gather(&[0, 1], 2, &mut [0; 2]);
     }
 
     #[test]

@@ -135,6 +135,28 @@ impl RleVec {
         self.vids[self.run_index(pos)]
     }
 
+    /// [`crate::IndexVector::gather`] on this layout: a run cursor that
+    /// steps to the next run, and binary-searches the runs after it only when
+    /// a position skips past that one too. The caller has checked the bounds.
+    pub(crate) fn gather(&self, positions: &[u32], offset: usize, out: &mut [u32]) {
+        let Some(&first) = positions.first() else {
+            return;
+        };
+        let mut run = self.run_index(first as usize + offset);
+        let mut run_end = self.run_end(run);
+        for (code, &pos) in out.iter_mut().zip(positions) {
+            let row = pos as usize + offset;
+            if row >= run_end {
+                run += 1;
+                if row >= self.run_end(run) {
+                    run += self.starts[run + 1..].partition_point(|&s| s as usize <= row);
+                }
+                run_end = self.run_end(run);
+            }
+            *code = self.vids[run];
+        }
+    }
+
     /// Reads the element at `pos`.
     ///
     /// # Panics

@@ -5,6 +5,8 @@
 //! bitcases 17 to 26). [`Table`] models exactly that shape: a collection of
 //! [`DictColumn<i64>`] columns of equal row count.
 
+use std::sync::Arc;
+
 use crate::column::DictColumn;
 
 /// Identifier of a column within a table.
@@ -19,10 +21,13 @@ impl ColumnId {
 }
 
 /// A table of integer columns with equal row counts.
+///
+/// The columns are immutable once built and shared: a clone copies the name
+/// and one reference count, never the column storage.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    columns: Vec<DictColumn<i64>>,
+    columns: Arc<[DictColumn<i64>]>,
     row_count: usize,
 }
 
@@ -117,7 +122,7 @@ impl TableBuilder {
     /// Panics if no columns were added.
     pub fn build(self) -> Table {
         let row_count = self.row_count.expect("a table needs at least one column");
-        Table { name: self.name, columns: self.columns, row_count }
+        Table { name: self.name, columns: self.columns.into(), row_count }
     }
 }
 
@@ -163,6 +168,16 @@ mod tests {
     #[should_panic(expected = "no inverted index")]
     fn asking_for_an_inverted_index_is_rejected() {
         TableBuilder::new("t").add_values("a", &[1, 2, 3], true);
+    }
+
+    #[test]
+    fn a_clone_shares_the_column_storage() {
+        let t = table();
+        let copy = t.clone();
+        for ((_, a), (_, b)) in t.columns().zip(copy.columns()) {
+            assert!(std::ptr::eq(a, b), "column '{}' was copied", a.name());
+        }
+        assert_eq!(copy.total_bytes(), t.total_bytes());
     }
 
     #[test]

@@ -93,8 +93,8 @@ fn word_parallel_kernel_beats_scalar_reference_on_4m_rows() {
 fn word_parallel_kernel_wins_at_the_paper_widest_bitcases() {
     let _timing = exclusive();
     // Bitcase 17 (the dataset's smallest bitcase: 3 codes per window) runs
-    // around 1.5x on the portable tier and 2.4x on the BMI2 tier; 1.4x is
-    // the conservative gate. Bitcase 26 packs only 2 codes per window and
+    // around 1.5x on the portable tier, 2.4x on the BMI2 tier and 8-20x on
+    // the AVX-512 tier; 1.4x is the conservative gate. Bitcase 26 packs only 2 codes per window and
     // its win is smallest — gate it below parity so a CI runner where the
     // two kernels tie cannot flake the step, while a real regression (SWAR
     // clearly losing) still fails.
@@ -142,7 +142,10 @@ fn physical_repartitioning_beats_the_per_row_value_rebuild() {
 fn in_lists_cost_about_what_a_range_costs() {
     let _timing = exclusive();
     // 2^17 distinct values, each ~30 times: a 17-bit column (3 codes per
-    // window), where an IN list has more runs than a window has lanes.
+    // window), where an IN list has more runs than a window has lanes. The
+    // AVX-512 tier ORs its 5 runs on the blocks the list's bounding range
+    // hits and reads about 1.0-1.1x; a tier that sped up ranges alone
+    // would fail here.
     let domain = 1i64 << 17;
     let values: Vec<i64> = (0..ROWS as i64).map(|i| (i * 7919) % domain).collect();
     let column = DictColumn::from_values("c", &values);
