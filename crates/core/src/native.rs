@@ -248,12 +248,11 @@ impl Sink for RowSink {
 
     fn fold(&self, table: &Table, chunks: &[ChunkRef]) -> Vec<i64> {
         // Ascending positions make each chunk's share a prefix cut.
-        chunks
-            .iter()
-            .flat_map(|chunk| {
-                materialize_positions(chunk.part.column(table), chunk.served_positions())
-            })
-            .collect()
+        let mut rows = Vec::with_capacity(chunks.iter().map(|c| c.served_positions().len()).sum());
+        for chunk in chunks {
+            rows.extend(materialize_positions(chunk.part.column(table), chunk.served_positions()));
+        }
+        rows
     }
 
     fn reduce(&self, outs: Vec<Vec<i64>>) -> Vec<i64> {
@@ -400,10 +399,15 @@ impl<T> Collector<T> {
     /// Marks one work item finished; `delivered` is false when it ended
     /// without its output, which fails the statement.
     pub(crate) fn finish(&self, delivered: bool) {
-        let mut state = self.state.lock();
-        state.remaining -= 1;
-        state.failed |= !delivered;
-        if state.remaining == 0 || !delivered {
+        let wake = {
+            let mut state = self.state.lock();
+            state.remaining -= 1;
+            state.failed |= !delivered;
+            state.remaining == 0 || !delivered
+        };
+        // Notified after the lock is released: a waiter woken while it was
+        // still held would only block on it again, costing a second switch.
+        if wake {
             self.done.notify_all();
         }
     }
@@ -413,10 +417,16 @@ impl<T> Collector<T> {
     /// A failed item answers [`EngineError::TaskPanicked`], an expired
     /// deadline [`EngineError::DeadlineExceeded`]; either way the token is
     /// cancelled, so the statement's outstanding work stops at its next
-    /// chunk boundary.
+    /// chunk boundary. An expired deadline wins even if the items finished
+    /// (or were dropped for it) before the waiter looked, so the answer does
+    /// not depend on which thread got there first.
     pub(crate) fn wait(&self, deadline: Option<Instant>) -> Result<Vec<T>, EngineError> {
         let mut state = self.state.lock();
         let error = loop {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                break EngineError::DeadlineExceeded;
+            }
             if state.failed {
                 break EngineError::TaskPanicked;
             }
@@ -425,13 +435,10 @@ impl<T> Collector<T> {
                 items.sort_unstable_by_key(|(key, _)| *key);
                 return Ok(items.into_iter().map(|(_, item)| item).collect());
             }
-            match deadline {
+            match left {
                 None => self.done.wait(&mut state),
-                Some(deadline) if Instant::now() >= deadline => {
-                    break EngineError::DeadlineExceeded
-                }
-                Some(deadline) => {
-                    self.done.wait_for(&mut state, deadline - Instant::now());
+                Some(left) => {
+                    self.done.wait_for(&mut state, left);
                 }
             }
         };
@@ -766,7 +773,7 @@ impl NativeEngine {
             Ok(sink.fold(&self.table, &chunks))
         } else {
             let sink = Arc::new(sink);
-            let outs = self.run_private(plan, &sink, active_statements).wait(deadline)?;
+            let outs = self.run_private(plan, &sink, active_statements, deadline).wait(deadline)?;
             Ok(sink.reduce(outs))
         }
     }
@@ -775,11 +782,14 @@ impl NativeEngine {
     /// concurrency-hint-many tasks aligned to its parts and submits each
     /// with its part's socket affinity. The returned collector yields the
     /// sink's per-task outputs in chunk order — which is global row order.
+    /// A deadline that passed before submission cancels the statement first,
+    /// so every task is dropped at pickup rather than racing the waiter.
     fn run_private<S: Sink>(
         &self,
         plan: &PartPlan,
         sink: &Arc<S>,
         active_statements: usize,
+        deadline: Option<Instant>,
     ) -> Arc<Collector<S::Out>> {
         // Round the suggested task count up to a multiple of the parts so
         // every task's range falls wholly inside one part (Section 5.2).
@@ -804,6 +814,9 @@ impl NativeEngine {
         }
 
         let collector = Arc::new(Collector::new(tasks.len()));
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            collector.token.cancel();
+        }
         for (chunk, (part, rows)) in tasks.into_iter().enumerate() {
             let meta = TaskMeta {
                 affinity: Some(part.socket),

@@ -26,7 +26,9 @@
 //! * each chunk is evaluated once for the *whole* waiting set through the
 //!   batched SWAR kernel ([`numascan_storage::scan_positions_batch`]): the
 //!   packed words are read from memory once regardless of how many queries
-//!   are attached;
+//!   are attached. A predicate the chunk's zone map rules out gets no
+//!   kernel slot, and a stretch of chunks that no waiting predicate can
+//!   match is swept in one step without reading it;
 //! * a query detaches when it has been served the full part (finishing its
 //!   collector item), or at a chunk boundary once its collector's token is
 //!   cancelled (its waiter gave up); when the last query detaches and no new
@@ -49,18 +51,21 @@
 //! demand (waiting queries × remaining bytes), so freed tasks always sweep
 //! where the waiting set is thickest while placement alignment is preserved.
 //!
-//! All protocol state — every sweep's cursor and its active and pending
-//! attachments, the queue of unclaimed sweeps, and the counters — lives in
-//! one `Inner` behind the registry's one lock. An attach, a dispatch claim,
-//! a chunk boundary and a chunk's credit are one critical section each, so an
-//! attacher either joins a sweep before its closing boundary or registers a
-//! fresh one after it. The batched kernel and the fan-out of match lists run
-//! outside the lock, and so does each client's trim and fold after
-//! `Collector::wait`. The only nested lock is registry → collector (an
-//! attachment dropped under the registry lock finishes its collector item),
-//! never the reverse.
+//! The registry's one lock guards what attachers and sweepers share: every
+//! sweep's cursor and pending attachments, the queue of unclaimed sweeps,
+//! and the counters. An attach, a dispatch claim, a chunk boundary and a
+//! chunk's credit are one critical section each, none longer than O(1) in
+//! the waiting set, so an attacher either joins a sweep before its closing
+//! boundary or registers a fresh one after it. A sweep's *active* set
+//! belongs to its sweeper alone, which takes the pending joiners into it at
+//! each boundary; the batched kernel, the fan-out of match lists and the
+//! crediting of served rows run outside the lock, and so does each client's
+//! trim and fold after `Collector::wait`. No collector is finished under the
+//! registry lock: a waiter woken while it is held would only queue on it
+//! behind the sweeper, so the two locks never nest.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use numascan_numasim::SocketId;
@@ -118,13 +123,15 @@ pub struct SharedScanStats {
     /// Queries activated mid-column (their pass wraps around to cover the
     /// prefix the sweep had already passed).
     pub wraparound_joins: u64,
-    /// Chunks evaluated (each one batched over the whole waiting set).
+    /// Chunks evaluated (each one batched over the whole waiting set). A
+    /// stretch of chunks whose zone map rules out every waiting predicate is
+    /// swept in one step and counts once.
     pub chunks_swept: u64,
     /// Rows covered by evaluated chunks.
     pub rows_swept: u64,
-    /// Index-vector bytes actually streamed by sweeps — compare with the
-    /// demand-side telemetry (which counts one pass per statement) to see
-    /// the amortization factor.
+    /// Index-vector bytes actually streamed by sweeps (zone-pruned stretches
+    /// stream none) — compare with the demand-side telemetry (which counts
+    /// one pass per statement) to see the amortization factor.
     pub bytes_swept: u64,
     /// Dispatch tickets that the relevance policy redirected to a more
     /// relevant sweep than the one whose registration created the ticket.
@@ -192,22 +199,56 @@ struct Attached {
     /// after its waiter gave up, or with a panicked sweep) finishes it
     /// undelivered.
     item: Item<ChunkRef>,
+    /// Index of the query's kernel lane in the current chunk (see
+    /// [`assign_lanes`]).
+    lane: usize,
+}
+
+impl Attached {
+    /// Whether the query's waiter gave up (deadline expiry or a failed part).
+    fn abandoned(&self) -> bool {
+        self.item.collector.token.is_cancelled()
+    }
+
+    /// Detaches a query that was served the whole part, finishing its
+    /// collector item as delivered.
+    fn complete(self) {
+        let Attached { mut item, .. } = self;
+        item.delivered = true;
+    }
 }
 
 /// One circular sweep over one column part, held by value in
 /// [`Inner::sweeps`] under its key. Only the sweeper that claimed it moves the
-/// cursor, mutates `active` or removes it; attachers only push to `pending`.
+/// cursor or removes it; attachers only push to `pending`.
 struct Sweep {
     /// The registering statement's part: the sweep's key and geometry
     /// (socket, rows, scanned column, pass bytes), identical for every
     /// statement whose part has the same key.
     part: Arc<PlannedPart>,
-    /// Next part-local row the sweep will serve; wraps at the part's length.
+    /// Next part-local row the sweep will serve, as of its last chunk
+    /// boundary (the sweeper keeps the live position and starts from this
+    /// one when it claims the sweep); wraps at the part's length.
     cursor: usize,
-    /// Queries being served.
-    active: Vec<Attached>,
     /// Queries waiting for the next chunk boundary to activate.
     pending: Vec<Attached>,
+}
+
+/// Collapses the active set's predicates into kernel lanes: a hot waiting
+/// set re-issues the same few statements, so identical predicates share one
+/// lane whose match list fans out to every query that asked for it. Sets
+/// each query's `lane` and returns each lane's first query.
+fn assign_lanes(active: &mut [Attached]) -> Vec<usize> {
+    let mut heads: Vec<usize> = Vec::new();
+    for index in 0..active.len() {
+        let encoded = &active[index].part.encoded;
+        active[index].lane =
+            heads.iter().position(|&h| active[h].part.encoded == *encoded).unwrap_or_else(|| {
+                heads.push(index);
+                heads.len() - 1
+            });
+    }
+    heads
 }
 
 /// A claim on one pool task: the engine submits a task with this socket's
@@ -304,7 +345,7 @@ impl SharedScanRegistry {
     ) -> Option<DispatchTicket> {
         debug_assert!(!part.rows.is_empty(), "empty parts must not be attached");
         let item = Item { collector: Arc::clone(collector), delivered: false };
-        let attached = Attached { part: Arc::clone(part), served: 0, item };
+        let attached = Attached { part: Arc::clone(part), served: 0, item, lane: 0 };
         let inner = &mut *self.inner.lock();
         inner.stats.queries_attached += 1;
         if let Some(sweep) = inner.sweeps.get_mut(&part.key) {
@@ -312,12 +353,7 @@ impl SharedScanRegistry {
             inner.stats.late_attaches += 1;
             return None;
         }
-        let sweep = Sweep {
-            part: Arc::clone(part),
-            cursor: 0,
-            active: Vec::new(),
-            pending: vec![attached],
-        };
+        let sweep = Sweep { part: Arc::clone(part), cursor: 0, pending: vec![attached] };
         inner.sweeps.insert(part.key, sweep);
         inner.unclaimed.push(part.key);
         inner.stats.sweeps_started += 1;
@@ -338,8 +374,9 @@ impl SharedScanRegistry {
                 if sweep.part.socket != ticket.socket {
                     continue;
                 }
-                let waiting = sweep.pending.len() + sweep.active.len();
-                let score = waiting as u128 * u128::from(sweep.part.bytes);
+                // An unclaimed sweep has not run, so its whole waiting set
+                // is still pending.
+                let score = sweep.pending.len() as u128 * u128::from(sweep.part.bytes);
                 let better = match best {
                     None => true,
                     Some((_, best_score)) => score > best_score,
@@ -370,116 +407,152 @@ impl SharedScanRegistry {
     /// waiting, otherwise evaluate the next chunk once for the whole active
     /// set and credit every query its prefix.
     fn run_sweep(&self, geometry: &PlannedPart) {
+        // The sweeper's own: queries in activation order. Everyone activates
+        // at a chunk boundary and is credited every chunk after, so served
+        // counts fall from front to back — the front finishes first, the
+        // back needs the most rows. Dropped with the sweeper if it unwinds
+        // (after the abort guard below removed the sweep), which fails each
+        // statement instead of leaving it waiting.
+        let mut active: Vec<Attached> = Vec::new();
         let key = geometry.key;
         let _abort = SweepAbort { registry: self, key };
         let column = geometry.column(&self.table);
-        let len = geometry.rows.len();
+        let (len, base) = (geometry.rows.len(), geometry.local_base);
+        let mut cursor = self.inner.lock().sweeps[&key].cursor;
+        // Joins and detaches counted outside the lock, booked at the next
+        // critical section.
+        let (mut joins, mut detaches) = (0u64, 0u64);
         loop {
-            // -------- chunk boundary: joins, detaches, close --------
-            let (chunk, takes, waiters) = {
+            // -------- chunk boundary: detaches, joins, close --------
+            // Statements whose waiter is gone detach here, at the chunk
+            // boundary: nobody reads their collector any more, and the
+            // remaining active set keeps its served counts untouched.
+            let mut detached: Vec<Attached> = Vec::new();
+            if active.iter().any(Attached::abandoned) {
+                (detached, active) =
+                    std::mem::take(&mut active).into_iter().partition(Attached::abandoned);
+            }
+            detaches += detached.len() as u64;
+            if cursor == len {
+                cursor = 0;
+            }
+            let joined = {
                 let inner = &mut *self.inner.lock();
+                inner.stats.wraparound_joins += std::mem::take(&mut joins);
+                inner.stats.deadline_detaches += std::mem::take(&mut detaches);
                 let sweep = inner.sweeps.get_mut(&key).expect("only its sweeper removes a sweep");
-                if sweep.cursor == len {
-                    sweep.cursor = 0;
-                }
-                // Statements whose waiter is gone detach here, at the chunk
-                // boundary: nobody reads their collector any more, and the
-                // remaining active set keeps its served counts untouched.
-                let waiting = sweep.active.len() + sweep.pending.len();
-                sweep.active.retain(|attached| !attached.item.collector.token.is_cancelled());
-                sweep.pending.retain(|attached| !attached.item.collector.token.is_cancelled());
-                inner.stats.deadline_detaches +=
-                    (waiting - sweep.active.len() - sweep.pending.len()) as u64;
-                if !sweep.pending.is_empty() {
-                    if sweep.cursor != 0 {
-                        inner.stats.wraparound_joins += sweep.pending.len() as u64;
-                    }
-                    sweep.active.append(&mut sweep.pending);
-                }
-                if sweep.active.is_empty() {
+                sweep.cursor = cursor;
+                let joined = std::mem::take(&mut sweep.pending);
+                if active.is_empty() && joined.is_empty() {
                     // Nobody waiting: an attacher either joined before this
                     // critical section or registers a fresh sweep after it.
                     inner.sweeps.remove(&key);
                     return;
                 }
-                let start = sweep.cursor;
-                // Clamp the chunk to the longest remaining need so the final
-                // chunk of a pass ends exactly at the last row any attached
-                // query still wants — no row is swept that nobody asked for.
-                let needed = sweep.active.iter().map(|a| len - a.served).max().unwrap_or(0);
-                let end = (start + self.chunk_rows.min(needed)).min(len);
-                sweep.cursor = end;
-                let chunk_len = end - start;
-                // Chunk-boundary activation means every active query's next
-                // unserved row is exactly `start`; its share of this chunk is
-                // a prefix (shorter than the chunk only on its final chunk).
-                let takes: Vec<usize> =
-                    sweep.active.iter().map(|a| (len - a.served).min(chunk_len)).collect();
-                // Only this sweeper mutates `active`, so the snapshot stays
-                // index-aligned with it until the credit below.
-                let waiters: Vec<(Arc<PlannedPart>, Arc<Collector<ChunkRef>>)> = sweep
-                    .active
-                    .iter()
-                    .map(|a| (Arc::clone(&a.part), Arc::clone(&a.item.collector)))
-                    .collect();
-                (start..end, takes, waiters)
+                joined
             };
+            for attached in joined {
+                if attached.abandoned() {
+                    detached.push(attached);
+                    detaches += 1;
+                } else {
+                    joins += u64::from(cursor != 0);
+                    active.push(attached);
+                }
+            }
+            drop(detached);
+            if active.is_empty() {
+                // Every joiner had given up: the next boundary books them
+                // and closes the sweep unless someone new is pending.
+                continue;
+            }
 
             // -------- evaluate the chunk once for the whole set --------
             #[cfg(test)]
             if std::mem::take(&mut self.inner.lock().panic_next_chunk) {
                 panic!("injected sweep panic");
             }
-            let scan_lo = geometry.local_base + chunk.start;
-            let scan_hi = geometry.local_base + chunk.end;
-            // A hot waiting set re-issues the same few statements over and
-            // over; identical predicates collapse to one kernel lane and the
-            // result fans out to every query that asked for it.
-            let mut unique: Vec<&EncodedPredicate> = Vec::new();
-            let mut slot_of: Vec<usize> = Vec::with_capacity(waiters.len());
-            for (part, _) in &waiters {
-                let p = &part.encoded;
-                let slot = unique.iter().position(|u| *u == p).unwrap_or_else(|| {
-                    unique.push(p);
-                    unique.len() - 1
-                });
-                slot_of.push(slot);
+            let heads = assign_lanes(&mut active);
+            let predicates: Vec<&EncodedPredicate> =
+                heads.iter().map(|&head| &active[head].part.encoded).collect();
+            // The lanes whose predicate the zone map does not rule out in
+            // `rows`: only they get a kernel slot.
+            let live_in = |rows: Range<usize>| -> Vec<usize> {
+                (0..predicates.len())
+                    .filter(|&lane| {
+                        !column.prunes(base + rows.start..base + rows.end, predicates[lane])
+                    })
+                    .collect()
+            };
+            // Clamp the chunk to the longest remaining need so the final
+            // chunk of a pass ends exactly at the last row any attached query
+            // still wants — no row is swept that nobody asked for.
+            let newest = active.last().expect("an open sweep has a waiter");
+            let limit = (cursor + (len - newest.served)).min(len);
+            let start = cursor;
+            let mut end = (start + self.chunk_rows).min(limit);
+            let live = live_in(start..end);
+            if live.is_empty() {
+                // Nothing here can match for anyone: sweep the whole stretch
+                // of such chunks in one step, reading none of it.
+                while end < limit {
+                    let next = (end + self.chunk_rows).min(limit);
+                    if !live_in(end..next).is_empty() {
+                        break;
+                    }
+                    end = next;
+                }
             }
-            let matches: Vec<Arc<Vec<u32>>> =
-                scan_positions_batch(column, scan_lo..scan_hi, &unique)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
+            cursor = end;
+            let chunk = start..end;
+            let kernel: Vec<&EncodedPredicate> =
+                live.iter().map(|&lane| predicates[lane]).collect();
+            let mut matches: Vec<Option<Arc<Vec<u32>>>> = vec![None; predicates.len()];
+            if !kernel.is_empty() {
+                let found = scan_positions_batch(column, base + start..base + end, &kernel);
+                for (&lane, positions) in live.iter().zip(found) {
+                    matches[lane] = (!positions.is_empty()).then(|| Arc::new(positions));
+                }
+            }
             // Hand every query a reference to its lane's match list; the
             // client trims and folds after the wait, so fan-out here costs
             // two Arc clones per query no matter how wide the waiting set is.
-            let global_start = geometry.rows.start + chunk.start;
-            for ((slot, take), (part, collector)) in slot_of.iter().zip(&takes).zip(&waiters) {
-                let positions = &matches[*slot];
-                if !positions.is_empty() {
-                    let chunk = ChunkRef {
-                        scan_lo,
-                        take: *take,
-                        positions: Arc::clone(positions),
-                        part: Arc::clone(part),
-                    };
-                    collector.push(global_start, chunk);
+            if matches.iter().any(Option::is_some) {
+                let global_start = geometry.rows.start + start;
+                for attached in &active {
+                    if let Some(positions) = &matches[attached.lane] {
+                        let chunk = ChunkRef {
+                            scan_lo: base + start,
+                            take: (len - attached.served).min(chunk.len()),
+                            positions: Arc::clone(positions),
+                            part: Arc::clone(&attached.part),
+                        };
+                        attached.item.collector.push(global_start, chunk);
+                    }
                 }
             }
 
             // -------- count the chunk, credit rows, detach completed queries --------
-            let inner = &mut *self.inner.lock();
-            inner.stats.chunks_swept += 1;
-            inner.stats.rows_swept += chunk.len() as u64;
-            inner.stats.bytes_swept += column.iv_scan_bytes(chunk.len());
-            let sweep = inner.sweeps.get_mut(&key).expect("only its sweeper removes a sweep");
-            for (attached, take) in sweep.active.iter_mut().zip(&takes) {
-                attached.served += take;
+            {
+                let inner = &mut *self.inner.lock();
+                inner.stats.wraparound_joins += std::mem::take(&mut joins);
+                inner.stats.deadline_detaches += std::mem::take(&mut detaches);
+                inner.stats.chunks_swept += 1;
+                inner.stats.rows_swept += chunk.len() as u64;
+                if !kernel.is_empty() {
+                    inner.stats.bytes_swept += column.iv_scan_bytes(chunk.len());
+                }
             }
-            sweep.active.retain_mut(|attached| {
-                attached.item.delivered = attached.served == len;
-                !attached.item.delivered
-            });
+            // Activation at chunk boundaries means every active query's next
+            // unserved row is exactly `start`, and its share of the chunk is
+            // a prefix (shorter than the chunk only on its final chunk). The
+            // counters above are booked before any statement completes, so a
+            // caller sees its own chunks counted.
+            for attached in &mut active {
+                attached.served += (len - attached.served).min(chunk.len());
+            }
+            let finished = active.iter().take_while(|a| a.served == len).count();
+            active.drain(..finished).for_each(Attached::complete);
         }
     }
 }
@@ -590,6 +663,30 @@ mod tests {
         assert_eq!(stats.wraparound_joins, 2);
         // The circular pass covers tail + prefix exactly once per row.
         assert_eq!(stats.rows_swept, 8_000);
+    }
+
+    #[test]
+    fn zone_pruned_stretches_are_swept_unread_and_still_serve_every_row() {
+        // A sorted column: each 4096-row zone holds its own vids, so a
+        // narrow range rules out all but one or two zones.
+        let values: Vec<i64> = (0..40_000).collect();
+        let table = Arc::new(TableBuilder::new("t").add_values("v", &values, false).build());
+        let registry = SharedScanRegistry::new(&table, 1024);
+        let key = SweepKey { column: 0, generation: 0, part: 0 };
+        let (low, ticket) = attach_query(&registry, &table, key, 9_000, 9_100);
+        registry.inner.lock().sweeps.get_mut(&key).unwrap().cursor = 20_000;
+        let (high, _) = attach_query(&registry, &table, key, 30_000, 30_500);
+        registry.dispatch(ticket.expect("first attach registers the sweep"));
+        assert_eq!(wait(&table, &low), oracle(&table, 9_000, 9_100));
+        assert_eq!(wait(&table, &high), oracle(&table, 30_000, 30_500));
+        let stats = registry.stats();
+        assert_eq!(stats.rows_swept, 40_000, "one full circle from row 20 000");
+        assert_eq!(stats.wraparound_joins, 2);
+        // Forty 1024-row chunks without pruning; the dead stretches
+        // between the two ranges' zones are one step each and read nothing.
+        assert!(stats.chunks_swept < 20, "{stats:?}");
+        let column = table.column_by_name("v").unwrap().1;
+        assert!(stats.bytes_swept <= column.iv_scan_bytes(12 * 1024), "{stats:?}");
     }
 
     #[test]

@@ -114,7 +114,8 @@
 //! * `count_range` popcounts the match words;
 //! * the batched kernel unpacks each block once, tests it against the union
 //!   of the predicates, and only for a 64-row word with a union hit tests
-//!   the blocks against every attached predicate.
+//!   the blocks against every attached predicate. The predicates are
+//!   compiled once per call, and the `bmi2` edges reuse them.
 //!
 //! Every `unsafe` step of the tier lives in the private `avx512` module,
 //! which only a token made after detection can enter.
@@ -179,6 +180,9 @@ impl KernelTier {
     /// OR one lane test per run, rather than probe each candidate lane's
     /// code against the list: the lanes of one window at `bits` bits, or 16
     /// on the `avx512` tier, whose lane tests cover a whole block at once.
+    /// This is the tier's only say in how a list is decided: a list compiled
+    /// under it keeps its runs for the vector tests and their window form
+    /// for the `bmi2` rows around the vector body alike.
     fn or_runs(self, bits: u8) -> usize {
         match self {
             KernelTier::Avx512 => 16.max(64 / usize::from(bits)),
@@ -682,14 +686,46 @@ fn evaluate_batch<C: Compact>(
     plan: &WindowPlan,
     bits: u32,
     ranges: &[(usize, BatchLane)],
-    lists: &[(usize, PredicateLanes<'_>)],
+    lists: &[(usize, &PredicateLanes<'_>)],
     masks: &mut [u64],
 ) {
     for &(slot, lane) in ranges {
         masks[slot] = c.compact(plan, lane.matches(x, plan.high));
     }
-    for (slot, lanes) in lists {
-        masks[*slot] = lanes.matches(c, x, plan, bits);
+    for &(slot, lanes) in lists {
+        masks[slot] = lanes.matches(c, x, plan, bits);
+    }
+}
+
+/// The predicates of one batch, compiled once per batched scan for the
+/// bitcase and the tier's OR limit, whichever tier then runs which rows.
+struct CompiledBatch<'a> {
+    /// Each satisfiable predicate's slot and lane tests, in slot order; the
+    /// masks of the other slots stay zero.
+    slots: Vec<(usize, PredicateLanes<'a>)>,
+    /// The bounding range of every satisfiable predicate: the pre-filter.
+    union: VidRange,
+    /// Slots in the batch, satisfiable or not.
+    len: usize,
+}
+
+impl<'a> CompiledBatch<'a> {
+    /// `None` when no predicate is satisfiable at `bits` bits.
+    fn compile(
+        bits: u8,
+        predicates: &[&'a EncodedPredicate],
+        or_runs: usize,
+    ) -> Option<CompiledBatch<'a>> {
+        let slots: Vec<(usize, PredicateLanes<'a>)> = predicates
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, p)| Some((slot, PredicateLanes::compile(bits, p, or_runs)?)))
+            .collect();
+        let union = slots
+            .iter()
+            .map(|(_, lanes)| lanes.bound)
+            .reduce(|u, b| VidRange { first: u.first.min(b.first), last: u.last.max(b.last) })?;
+        Some(CompiledBatch { slots, union, len: predicates.len() })
     }
 }
 
@@ -1100,13 +1136,18 @@ impl BitPackedVec {
         predicates: &[&EncodedPredicate],
         sink: F,
     ) {
-        match tier() {
+        let tier = tier();
+        let Some(batch) = CompiledBatch::compile(self.bits, predicates, tier.or_runs(self.bits))
+        else {
+            return;
+        };
+        match tier {
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx512 => Avx512::proved().scan_batch(self, positions, predicates, sink),
+            KernelTier::Avx512 => Avx512::proved().scan_batch(self, positions, &batch, sink),
             // SAFETY: `tier()` reports BMI2 only where it was detected.
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Bmi2 => unsafe { self.scan_batch_bmi2(positions, predicates, sink) },
-            _ => self.scan_batch(Fold, positions, predicates, sink),
+            KernelTier::Bmi2 => unsafe { self.scan_batch_bmi2(positions, &batch, sink) },
+            _ => self.scan_batch(Fold, positions, &batch, sink),
         }
     }
 
@@ -1116,7 +1157,7 @@ impl BitPackedVec {
         &self,
         c: C,
         positions: Range<usize>,
-        predicates: &[&EncodedPredicate],
+        batch: &CompiledBatch<'_>,
         mut sink: F,
     ) {
         let end = positions.end.min(self.len);
@@ -1127,28 +1168,15 @@ impl BitPackedVec {
         // Ranges (and one-run lists) keep the tight branch-free lane loop;
         // other lists are decided in a loop of their own. Slots of
         // unsatisfiable predicates are never written and stay zero.
-        let or_runs = KernelTier::Portable.or_runs(self.bits);
         let mut ranges: Vec<(usize, BatchLane)> = Vec::new();
-        let mut lists: Vec<(usize, PredicateLanes<'_>)> = Vec::new();
-        let mut union: Option<VidRange> = None;
-        for (slot, predicate) in predicates.iter().enumerate() {
-            let Some(lanes) = PredicateLanes::compile(self.bits, predicate, or_runs) else {
-                continue;
-            };
-            let b = lanes.bound;
-            union =
-                Some(union.map_or(b, |u| VidRange {
-                    first: u.first.min(b.first),
-                    last: u.last.max(b.last),
-                }));
+        let mut lists: Vec<(usize, &PredicateLanes<'_>)> = Vec::new();
+        for (slot, lanes) in &batch.slots {
             match lanes.runs {
-                RunTest::One => ranges.push((slot, lanes.lane)),
-                _ => lists.push((slot, lanes)),
+                RunTest::One => ranges.push((*slot, lanes.lane)),
+                _ => lists.push((*slot, lanes)),
             }
         }
-        let Some(union) = union else {
-            return;
-        };
+        let union = batch.union;
         // The union plan provides the shared layout (lane geometry and
         // compaction schedule) on top of the pre-filter constants.
         let bits = u32::from(self.bits);
@@ -1156,7 +1184,7 @@ impl BitPackedVec {
         let union_lane = BatchLane::replicate(bits, union.first, union.last);
         let k = plan.k as usize;
         let words = &self.words[..];
-        let mut masks = vec![0u64; predicates.len()];
+        let mut masks = vec![0u64; batch.len];
         let mut row = start;
         let mut bit = start * bits as usize;
         while row + k <= end {
@@ -1371,12 +1399,12 @@ impl BitPackedVec {
     unsafe fn scan_batch_bmi2<F: FnMut(usize, u32, &[u64])>(
         &self,
         positions: Range<usize>,
-        predicates: &[&EncodedPredicate],
+        batch: &CompiledBatch<'_>,
         sink: F,
     ) {
         // SAFETY: the caller guarantees BMI2.
         let pext = unsafe { Pext::new() };
-        self.scan_batch(pext, positions, predicates, sink)
+        self.scan_batch(pext, positions, batch, sink)
     }
 
     #[target_feature(enable = "bmi1,bmi2,popcnt,lzcnt")]

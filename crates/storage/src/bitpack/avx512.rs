@@ -11,8 +11,8 @@
 use std::arch::x86_64::*;
 use std::ops::Range;
 
-use super::{clamp_scan, low_mask, BitPackedVec, KernelTier, PredicateLanes, RunTest, SpanBitmap};
-use crate::predicate::{EncodedPredicate, VidRange, VidRuns};
+use super::{clamp_scan, low_mask, BitPackedVec, CompiledBatch, KernelTier, RunTest, SpanBitmap};
+use crate::predicate::{VidRange, VidRuns};
 
 /// Proof that the host runs the `avx512` tier.
 #[derive(Clone, Copy)]
@@ -48,11 +48,11 @@ impl Avx512 {
         self,
         v: &BitPackedVec,
         positions: Range<usize>,
-        predicates: &[&EncodedPredicate],
+        batch: &CompiledBatch<'_>,
         sink: F,
     ) {
         // SAFETY: an `Avx512` exists only where the tier was detected.
-        unsafe { scan_batch(v, positions, predicates, sink) }
+        unsafe { scan_batch(v, positions, batch, sink) }
     }
 
     /// The `avx512` tier of [`BitPackedVec::count_range`].
@@ -443,7 +443,7 @@ fn count_body<const WIDE: bool>(
 unsafe fn scan_batch<F: FnMut(usize, u32, &[u64])>(
     v: &BitPackedVec,
     positions: Range<usize>,
-    predicates: &[&EncodedPredicate],
+    batch: &CompiledBatch<'_>,
     mut sink: F,
 ) {
     let end = positions.end.min(v.len);
@@ -451,27 +451,14 @@ unsafe fn scan_batch<F: FnMut(usize, u32, &[u64])>(
     if start == end {
         return;
     }
-    let or_runs = KernelTier::Avx512.or_runs(v.bits);
-    let compiled: Vec<(usize, PredicateLanes<'_>)> = predicates
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, p)| Some((slot, PredicateLanes::compile(v.bits, p, or_runs)?)))
-        .collect();
-    let Some(union) = compiled
-        .iter()
-        .map(|(_, lanes)| lanes.bound)
-        .reduce(|u, b| VidRange { first: u.first.min(b.first), last: u.last.max(b.last) })
-    else {
-        return;
-    };
     let bits = u32::from(v.bits);
     let body = if bits > 25 {
-        batch_body::<true, F>(v, start..end, union, &compiled, predicates, &mut sink)
+        batch_body::<true, F>(v, start..end, batch, &mut sink)
     } else {
-        batch_body::<false, F>(v, start..end, union, &compiled, predicates, &mut sink)
+        batch_body::<false, F>(v, start..end, batch, &mut sink)
     };
     // SAFETY: the `avx512` tier's detection includes the `bmi2` set.
-    unsafe { v.scan_batch_bmi2(body.end..end, predicates, &mut sink) }
+    unsafe { v.scan_batch_bmi2(body.end..end, batch, &mut sink) }
 }
 
 /// The rows before the batched vector body, then the body; returns the
@@ -481,28 +468,26 @@ unsafe fn scan_batch<F: FnMut(usize, u32, &[u64])>(
 fn batch_body<const WIDE: bool, F: FnMut(usize, u32, &[u64])>(
     v: &BitPackedVec,
     rows: Range<usize>,
-    union: VidRange,
-    compiled: &[(usize, PredicateLanes<'_>)],
-    predicates: &[&EncodedPredicate],
+    batch: &CompiledBatch<'_>,
     sink: &mut F,
 ) -> Range<usize> {
     let blocks = Blocks::new::<WIDE>(u32::from(v.bits));
     let body = body_rows::<WIDE>(v, rows.start, rows.end);
     // SAFETY: the `avx512` tier's detection includes the `bmi2` set.
-    unsafe { v.scan_batch_bmi2(rows.start..body.start, predicates, &mut *sink) };
+    unsafe { v.scan_batch_bmi2(rows.start..body.start, batch, &mut *sink) };
     let up = blocks.up;
-    let union = LaneRange::new(up, union.first, union.last);
+    let union = LaneRange::new(up, batch.union.first, batch.union.last);
     // Ranges (and one-run lists) keep a loop of bare compares; lists are
     // decided in a loop of their own.
     let (mut ranges, mut lists) = (Vec::new(), Vec::new());
-    for (slot, lanes) in compiled {
+    for (slot, lanes) in &batch.slots {
         match LaneTest::compile(up, lanes.bound, &lanes.runs) {
             LaneTest::Range(range) => ranges.push((*slot, range)),
             test => lists.push((*slot, test)),
         }
     }
     // Slots of unsatisfiable predicates are never written and stay zero.
-    let mut masks = vec![0u64; predicates.len()];
+    let mut masks = vec![0u64; batch.len];
     for_each_word::<WIDE, _>(v, &blocks, body.clone(), |row, xs| {
         if word_mask::<WIDE>(xs, |x| union.test::<WIDE>(x)) != 0 {
             for &(slot, range) in &ranges {

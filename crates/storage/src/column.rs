@@ -104,21 +104,20 @@ impl IndexVector {
 
     /// Decodes the codes of rows `offset + p`, for each `p` of the ascending
     /// `positions`, into the front of `out`: a batch gather. Bounds are
-    /// checked once per batch, on its last row; the bit-packed layout then
-    /// decodes in a loop, and the run-length layout walks its runs with a
-    /// cursor.
+    /// checked once per batch, on its greatest row; the bit-packed layout
+    /// then decodes in a loop, and the run-length layout walks its runs with
+    /// a cursor.
     ///
     /// # Panics
-    /// Panics if `out` is shorter than `positions` or the last row is out of
-    /// bounds.
+    /// Panics if `out` is shorter than `positions`, if a row is out of
+    /// bounds, or, on the run-length layout, if `positions` do not ascend.
     pub fn gather(&self, positions: &[u32], offset: usize, out: &mut [u32]) {
         let out = &mut out[..positions.len()];
-        let Some(&last) = positions.last() else {
+        let Some(max) = positions.iter().copied().max() else {
             return;
         };
-        let last = last as usize + offset;
-        assert!(last < self.len(), "position {last} out of bounds (len {})", self.len());
-        debug_assert!(positions.is_sorted(), "gather takes ascending positions");
+        let max = max as usize + offset;
+        assert!(max < self.len(), "position {max} out of bounds (len {})", self.len());
         match self {
             IndexVector::BitPacked(v) => {
                 for (code, &pos) in out.iter_mut().zip(positions) {
@@ -473,6 +472,21 @@ mod tests {
     fn gather_checks_the_last_row() {
         let iv = IndexVector::BitPacked(BitPackedVec::from_slice(8, &[1, 2, 3]));
         iv.gather(&[0, 1], 2, &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_checks_every_row_of_an_unsorted_batch() {
+        let iv = IndexVector::BitPacked(BitPackedVec::from_slice(8, &[1, 2, 3]));
+        iv.gather(&[7, 1], 0, &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn the_run_cursor_rejects_positions_that_do_not_ascend() {
+        let codes: Vec<u32> = (0..64u32).map(|i| i / 8).collect();
+        let iv = IndexVector::Rle(RleVec::from_bitpacked(&BitPackedVec::from_slice(4, &codes)));
+        iv.gather(&[40, 3], 0, &mut [0; 2]);
     }
 
     #[test]

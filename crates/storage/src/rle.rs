@@ -138,20 +138,26 @@ impl RleVec {
     /// [`crate::IndexVector::gather`] on this layout: a run cursor that
     /// steps to the next run, and binary-searches the runs after it only when
     /// a position skips past that one too. The caller has checked the bounds.
+    ///
+    /// # Panics
+    /// Panics if `positions` do not ascend: the cursor never moves back.
     pub(crate) fn gather(&self, positions: &[u32], offset: usize, out: &mut [u32]) {
         let Some(&first) = positions.first() else {
             return;
         };
         let mut run = self.run_index(first as usize + offset);
-        let mut run_end = self.run_end(run);
+        let (mut run_start, mut run_end) = (self.starts[run] as usize, self.run_end(run));
         for (code, &pos) in out.iter_mut().zip(positions) {
             let row = pos as usize + offset;
-            if row >= run_end {
+            // One compare per row: outside the current run, either forward
+            // (a run change) or backward (unsorted input, rejected).
+            if row.wrapping_sub(run_start) >= run_end - run_start {
+                assert!(row >= run_end, "gather takes ascending positions (row {row})");
                 run += 1;
                 if row >= self.run_end(run) {
                     run += self.starts[run + 1..].partition_point(|&s| s as usize <= row);
                 }
-                run_end = self.run_end(run);
+                (run_start, run_end) = (self.starts[run] as usize, self.run_end(run));
             }
             *code = self.vids[run];
         }
