@@ -10,14 +10,37 @@
 //!
 //! Fusion is the point. The accumulators consume the SWAR kernels'
 //! *mask-stream* contract ([`accumulate_filtered`] drives
-//! `IndexVector::scan_masks` directly): a qualifying row goes from the
-//! predicate kernel's match mask, through a 256-entry stack batch, into the
-//! aggregate table — no position list is materialized, no value vector is
-//! built, and the per-match cost is one gather plus one accumulate. The
-//! shared scan path
-//! reuses the same machinery over the sweep's chunk match lists
-//! ([`accumulate_positions`]), so one cooperative sweep serves scan and
-//! aggregate waiters from the same mask stream.
+//! `IndexVector::scan_masks` directly) — no position list is materialized
+//! and no value vector is built. The shared scan path reuses the same
+//! machinery over the sweep's chunk match lists ([`accumulate_positions`]),
+//! so one cooperative sweep serves scan and aggregate waiters from the same
+//! mask stream.
+//!
+//! **One window fold.** Both entry points hand their matches over in 64-row
+//! windows, one match word each. A window with at least a quarter of its
+//! rows matched decodes the rows from its first match to its last
+//! contiguously from the value and group columns (`RowDecoder`: on the
+//! `avx512` tier 16 codes per 64-byte load and shift, a run cursor on the
+//! run-length layout); a sparser window's matches are gathered a batch at a
+//! time (`IndexVector::gather`). The codes then go one of two ways:
+//!
+//! * **Folding rows.** A match's value is looked up in the dictionary and
+//!   folded into its group slot (an ungrouped batch reduces in registers
+//!   first). Every call starts here, and ungrouped calls (Q6) and domains of
+//!   more than [`COUNT_CELL_LIMIT`] cells stay here.
+//! * **Counting cells.** Once a grouped call has folded as many matches as
+//!   the value dictionary's cardinality times the group slots (at most
+//!   [`COUNT_CELL_LIMIT`]), a match costs one increment of its (group vid,
+//!   value vid) cell — no dictionary lookup, no compare. The cells flush
+//!   into the accumulator once per call: `count += c`, `sum += c × value`
+//!   (exact under the pinned wrapping sum), min and max from the smallest
+//!   and largest counted vid (the dictionary is sorted). TPC-H Q1's 3 ×
+//!   50 cells switch after its first 150 matches.
+//!
+//! The switch reads the two dictionary cardinalities and the matches folded
+//! so far, never an estimate, and it bounds the flush by the matches: a
+//! selective call over a few thousand values never allocates cells it
+//! would barely fill.
 //!
 //! **Sizing.** The dense partial table is indexed by the group column's
 //! *vid*, so its capacity is clamped by the group dictionary's cardinality —
@@ -34,7 +57,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use numascan_storage::{DictColumn, EncodedPredicate, Predicate, Table};
+use numascan_storage::{DictColumn, EncodedPredicate, Predicate, RowDecoder, Table};
 
 /// One aggregate function over the value column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -419,6 +442,22 @@ pub fn dense_group_capacity(cardinality: usize) -> usize {
     cardinality.max(1)
 }
 
+/// The most (group vid, value vid) cells a fold counts matches in: 2^16
+/// `u32` counters, so a counting fold allocates at most 256 KiB, whatever the
+/// dictionaries. Like [`dense_group_capacity`], the bound is a function of
+/// dictionary cardinalities alone, never of an estimate.
+pub const COUNT_CELL_LIMIT: usize = 1 << 16;
+
+/// Rows per fold window: one 64-bit match word.
+const WINDOW: usize = 64;
+
+/// A window with at least this many matches (a quarter of its rows) decodes
+/// its rows contiguously; a sparser one gathers only its matches.
+const DENSE_MATCHES: u32 = WINDOW as u32 / 4;
+
+/// Sparse matches gathered per batch.
+const BATCH: usize = 256;
+
 /// Reads the value (and group vid) of a base-table row for the fused
 /// kernels. Positions handed to the reader are in the *filter* column's
 /// local coordinate space; `offset` maps them to global base-table rows
@@ -440,48 +479,253 @@ impl<'a> RowReader<'a> {
     ) -> Self {
         RowReader { value, group, offset }
     }
+}
 
-    /// Folds the rows at the ascending filter-local `positions` into `acc`,
-    /// gathering each column's codes a batch at a time
-    /// ([`numascan_storage::IndexVector::gather`]). Without a group column a
-    /// batch reduces in registers and updates the global slot once.
-    fn fold(&self, positions: &[u32], acc: &mut GroupAccumulator) {
-        const BATCH: usize = 256;
-        let (mut vids, mut groups) = ([0u32; BATCH], [0u32; BATCH]);
-        let values = self.value.dictionary();
-        for batch in positions.chunks(BATCH) {
-            let vids = &mut vids[..batch.len()];
-            self.value.index_vector().gather(batch, self.offset, vids);
-            match self.group {
-                None => {
-                    let (mut sum, mut min, mut max) = (0i64, i64::MAX, i64::MIN);
-                    for &vid in vids.iter() {
-                        let value = *values.value(vid);
-                        sum = sum.wrapping_add(value);
-                        min = min.min(value);
-                        max = max.max(value);
-                    }
-                    acc.update_reduced(0, batch.len() as u64, sum, min, max);
-                }
-                Some(group) => {
-                    let groups = &mut groups[..batch.len()];
-                    group.index_vector().gather(batch, self.offset, groups);
-                    for (&group, &vid) in groups.iter().zip(vids.iter()) {
-                        acc.update(group as usize, *values.value(vid));
-                    }
-                }
+/// One call's fold of 64-row match windows into a [`GroupAccumulator`].
+///
+/// A window with at least [`DENSE_MATCHES`] matches decodes the rows from
+/// its first match to its last contiguously from the value and group
+/// columns ([`RowDecoder`]s, built at the call's first dense window); a
+/// sparser one has its matches gathered, a batch at a time. What the codes
+/// feed depends on the domain and the matches so far. A fold starts by
+/// folding every match's value into its group slot. A grouped fold whose
+/// value dictionary's cardinality times the group slots is at most
+/// [`COUNT_CELL_LIMIT`] switches, once it has folded as many matches as
+/// there are cells, to counting matches per (group vid, value vid) cell, and
+/// flushes the counts into the accumulator once, at [`WindowFold::finish`].
+/// So a call counts cells only when its matches outnumber them, and the
+/// flush never costs more than the matches did. An ungrouped fold never
+/// counts: it already reduces a batch in registers, with no store per match
+/// (and no chain of stores into one cell when the value column has runs).
+struct WindowFold<'r, 'a> {
+    reader: &'r RowReader<'a>,
+    /// The value and group columns' row decoders.
+    decoders: Option<(RowDecoder<'a>, Option<RowDecoder<'a>>)>,
+    /// Match counts, group-major: cell `group * stride + vid`. Empty while
+    /// the fold adds rows to the accumulator.
+    cells: Vec<u32>,
+    /// Value-dictionary cardinality: the cells of one group.
+    stride: usize,
+    /// Matches still to fold row by row before counting cells starts; `None`
+    /// when the fold never counts cells (or already does).
+    until_cells: Option<usize>,
+    /// Decoded value and group vids of a window or a batch (the group vids
+    /// stay 0 without a group column).
+    vids: [u32; BATCH],
+    gids: [u32; BATCH],
+    acc: &'r mut GroupAccumulator,
+}
+
+impl<'r, 'a> WindowFold<'r, 'a> {
+    /// A fold of at most `rows` matches into `acc`. Cell counts cannot
+    /// overflow: no call counts more than `rows` matches, and counting
+    /// requires `rows <= u32::MAX`.
+    fn new(reader: &'r RowReader<'a>, acc: &'r mut GroupAccumulator, rows: usize) -> Self {
+        let stride = reader.value.dictionary().len();
+        let cells = stride.saturating_mul(acc.capacity());
+        let counts = reader.group.is_some()
+            && (1..=COUNT_CELL_LIMIT.min(rows)).contains(&cells)
+            && u32::try_from(rows).is_ok();
+        WindowFold {
+            reader,
+            decoders: None,
+            cells: Vec::new(),
+            stride,
+            until_cells: counts.then_some(cells),
+            vids: [0; BATCH],
+            gids: [0; BATCH],
+            acc,
+        }
+    }
+
+    /// Decodes the rows of the dense window `base..base + 64` (filter-local;
+    /// bit `i` of `mask` is row `base + i`) from its first match to its last
+    /// and folds the matched ones.
+    #[inline(never)]
+    fn dense(&mut self, base: usize, mask: u64) {
+        let first = mask.trailing_zeros() as usize;
+        let rows = WINDOW - mask.leading_zeros() as usize - first;
+        let (mask, start) = (mask >> first, base + first + self.reader.offset);
+        let (vids, gids) = (&mut self.vids[..rows], &mut self.gids[..rows]);
+        let reader = self.reader;
+        let (values, groups) = self.decoders.get_or_insert_with(|| {
+            let group = reader.group.map(|g| g.index_vector().row_decoder());
+            (reader.value.index_vector().row_decoder(), group)
+        });
+        values.decode_rows(start, vids);
+        if let Some(groups) = groups {
+            groups.decode_rows(start, gids);
+        }
+        if !self.cells.is_empty() {
+            // Branch-free: an unmatched row adds 0 to its cell.
+            let stride = self.stride;
+            for (i, (&group, &vid)) in gids.iter().zip(vids.iter()).enumerate() {
+                self.cells[group as usize * stride + vid as usize] += (mask >> i) as u32 & 1;
+            }
+            return;
+        }
+        let mut rest = mask;
+        let matched = std::iter::from_fn(|| {
+            (rest != 0).then(|| {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                (gids[i], vids[i])
+            })
+        });
+        fold_rows(self.reader, matched, self.acc);
+        self.folded_rows(mask.count_ones() as usize);
+    }
+
+    /// Counts `matches` folded row by row toward counting cells, and starts
+    /// counting when the matches have caught up with the cells.
+    #[inline]
+    fn folded_rows(&mut self, matches: usize) {
+        if let Some(left) = &mut self.until_cells {
+            *left = left.saturating_sub(matches);
+            if *left == 0 {
+                self.cells = vec![0; self.stride * self.acc.capacity()];
+                self.until_cells = None;
             }
         }
+    }
+
+    /// Gathers the codes of at most [`BATCH`] ascending sparse matches
+    /// (filter-local) and folds them.
+    #[inline(never)]
+    fn sparse(&mut self, positions: &[u32]) {
+        let (vids, gids) = (&mut self.vids[..positions.len()], &mut self.gids[..positions.len()]);
+        let offset = self.reader.offset;
+        self.reader.value.index_vector().gather(positions, offset, vids);
+        if let Some(group) = self.reader.group {
+            group.index_vector().gather(positions, offset, gids);
+        }
+        if self.cells.is_empty() {
+            fold_rows(self.reader, gids.iter().copied().zip(vids.iter().copied()), self.acc);
+            self.folded_rows(positions.len());
+        } else {
+            for (&group, &vid) in gids.iter().zip(vids.iter()) {
+                self.cells[group as usize * self.stride + vid as usize] += 1;
+            }
+        }
+    }
+
+    /// Flushes the cell counts: per group, count += c and sum += c × value
+    /// over its cells, min and max from its smallest and largest counted vid
+    /// (the dictionary is sorted).
+    fn finish(self) {
+        let values = self.reader.value.dictionary();
+        for (group, cells) in self.cells.chunks_exact(self.stride.max(1)).enumerate() {
+            let (mut count, mut sum, mut first, mut last) = (0u64, 0i64, None, 0);
+            for (vid, &c) in cells.iter().enumerate().filter(|(_, &c)| c > 0) {
+                count += u64::from(c);
+                // Exact under the pinned wrapping sum: c additions of the
+                // value wrap to c × value mod 2^64.
+                sum = sum.wrapping_add(i64::from(c).wrapping_mul(*values.value(vid as u32)));
+                first.get_or_insert(vid);
+                last = vid;
+            }
+            if let Some(first) = first {
+                let (min, max) = (*values.value(first as u32), *values.value(last as u32));
+                self.acc.update_reduced(group, count, sum, min, max);
+            }
+        }
+    }
+}
+
+/// Folds `(group vid, value vid)` matches into `acc` one by one; without a
+/// group column they reduce in registers and update the global slot once.
+#[inline(always)]
+fn fold_rows(
+    reader: &RowReader<'_>,
+    matched: impl Iterator<Item = (u32, u32)>,
+    acc: &mut GroupAccumulator,
+) {
+    let values = reader.value.dictionary();
+    if reader.group.is_some() {
+        for (group, vid) in matched {
+            acc.update(group as usize, *values.value(vid));
+        }
+        return;
+    }
+    let (mut count, mut sum, mut min, mut max) = (0u64, 0i64, i64::MAX, i64::MIN);
+    for (_, vid) in matched {
+        let value = *values.value(vid);
+        count += 1;
+        sum = sum.wrapping_add(value);
+        min = min.min(value);
+        max = max.max(value);
+    }
+    if count > 0 {
+        acc.update_reduced(0, count, sum, min, max);
+    }
+}
+
+/// The mask stream of [`accumulate_filtered`], regrouped into 64-row match
+/// words for a [`WindowFold`]: a dense word is folded at once, a sparse
+/// word's matches queue for a batch gather.
+struct MatchWords<'r, 'a> {
+    fold: WindowFold<'r, 'a>,
+    /// First row of the word being assembled, and its matches.
+    word: usize,
+    matches: u64,
+    queued: [u32; BATCH],
+    len: usize,
+}
+
+impl MatchWords<'_, '_> {
+    /// Adds a mask-stream window: bit `i < n` of `mask` is row `base + i`.
+    #[inline(always)]
+    fn add(&mut self, base: usize, n: u32, mask: u64) {
+        // A selective scan's windows are mostly empty: they add nothing.
+        if mask == 0 {
+            return;
+        }
+        let (at, shift) = (base & !(WINDOW - 1), base % WINDOW);
+        if at != self.word {
+            self.flush();
+            self.word = at;
+        }
+        self.matches |= mask << shift;
+        // A window that crosses into the next word.
+        if shift + n as usize > WINDOW {
+            self.flush();
+            (self.word, self.matches) = (at + WINDOW, mask >> (WINDOW - shift));
+        }
+    }
+
+    /// Folds or queues the assembled word.
+    #[inline(always)]
+    fn flush(&mut self) {
+        let mut mask = std::mem::take(&mut self.matches);
+        if mask.count_ones() >= DENSE_MATCHES {
+            return self.fold.dense(self.word, mask);
+        }
+        while mask != 0 {
+            self.queued[self.len] = (self.word + mask.trailing_zeros() as usize) as u32;
+            self.len += 1;
+            mask &= mask - 1;
+        }
+        // A sparse word queues fewer than `WINDOW` matches.
+        if self.len > BATCH - WINDOW {
+            self.fold.sparse(&self.queued[..self.len]);
+            self.len = 0;
+        }
+    }
+
+    /// Folds the last word and whatever is still queued, then the cells.
+    fn finish(mut self) {
+        self.flush();
+        self.fold.sparse(&self.queued[..self.len]);
+        self.fold.finish();
     }
 }
 
 /// The fused scan→aggregate kernel: evaluates `predicate` over `positions`
 /// of the filter column and folds every qualifying row into `acc` — no
 /// position list is materialized. Every predicate shape, range or `IN` list,
-/// rides the layout's mask stream (`IndexVector::scan_masks`, both layouts).
-/// Matches gather in a small stack batch that is folded whenever it fills,
-/// so the kernel's window loop stays tight on a selective scan and a dense
-/// one pays the fold's call once per batch, not per window or row.
+/// rides the layout's mask stream (`IndexVector::scan_masks`, both layouts),
+/// whose windows are regrouped into 64-row match words for the same window
+/// fold as [`accumulate_positions`] (which says what a window costs).
 pub fn accumulate_filtered(
     filter: &DictColumn<i64>,
     positions: Range<usize>,
@@ -489,37 +733,79 @@ pub fn accumulate_filtered(
     reader: &RowReader<'_>,
     acc: &mut GroupAccumulator,
 ) {
-    const BATCH: usize = 256;
-    let mut batch = [0u32; BATCH];
-    let mut n = 0;
+    let end = positions.end.min(filter.row_count());
+    let start = positions.start.min(end);
+    let mut words = MatchWords {
+        fold: WindowFold::new(reader, acc, end - start),
+        word: start & !(WINDOW - 1),
+        matches: 0,
+        queued: [0; BATCH],
+        len: 0,
+    };
     filter.index_vector().scan_masks(
-        positions,
+        start..end,
         predicate,
         #[inline(always)]
-        |base, _, mut mask| {
-            while mask != 0 {
-                batch[n] = (base + mask.trailing_zeros() as usize) as u32;
-                n += 1;
-                mask &= mask - 1;
-            }
-            // A window adds at most 64 matches.
-            if n > BATCH - 64 {
-                accumulate_positions(&batch[..n], reader, acc);
-                n = 0;
-            }
-        },
+        |base, n, mask| words.add(base, n, mask),
     );
-    accumulate_positions(&batch[..n], reader, acc);
+    words.finish();
 }
 
 /// The shared-path accumulate: folds a sweep chunk's (filter-local,
-/// ascending) match positions into `acc` through the same reader. One
-/// cooperative sweep's mask stream thereby serves scan waiters (which
-/// materialize) and aggregate waiters (which fold) alike. Kept out of line:
-/// the fused kernel calls it from every window loop.
-#[inline(never)]
+/// ascending) match positions into `acc`, regrouped into 64-row windows for
+/// the same window fold as [`accumulate_filtered`]. One cooperative sweep's
+/// mask stream thereby serves scan waiters (which materialize) and
+/// aggregate waiters (which fold) alike.
+///
+/// A window with at least a quarter of its rows matched decodes its rows
+/// contiguously from the value and group columns; the matches between such
+/// windows are gathered straight from `positions`, a batch at a time. Each
+/// match's value is folded into its group slot; a grouped call whose value
+/// dictionary's cardinality times the group slots is at most
+/// [`COUNT_CELL_LIMIT`] switches, once it has folded that many matches, to
+/// counting matches per (group vid, value vid) cell and flushes the counts
+/// into `acc` once per call.
 pub fn accumulate_positions(positions: &[u32], reader: &RowReader<'_>, acc: &mut GroupAccumulator) {
-    reader.fold(positions, acc);
+    let mut fold = WindowFold::new(reader, acc, positions.len());
+    let dense = DENSE_MATCHES as usize;
+    // The sparse matches since the last dense window.
+    let (mut sparse, mut i) = (0, 0);
+    while let Some(&last) = positions.get(i + dense - 1) {
+        // A window can hold `dense` positions from `i` on only if they span
+        // fewer than 64 rows: a branch-free test of 16 starts at a time
+        // skips a sparse stretch without judging each position.
+        if let Some(ahead) = positions.get(i..i + 2 * dense - 1) {
+            let spans = ahead.iter().zip(&ahead[dense - 1..]);
+            if spans.fold(true, |sparse, (&a, &b)| sparse & (b.wrapping_sub(a) >= WINDOW as u32)) {
+                i += dense;
+                continue;
+            }
+        }
+        // Positions ascend, so the window of `positions[i]` holds at least
+        // `dense` of them from `i` on iff the `dense`-th is still in it. That
+        // can first hold at the window's first position, and a window for
+        // which it fails there fails at every later position too.
+        let end = (positions[i] as usize | (WINDOW - 1)) + 1;
+        if last as usize >= end {
+            i += 1;
+            continue;
+        }
+        for batch in positions[sparse..i].chunks(BATCH) {
+            fold.sparse(batch);
+        }
+        let base = end - WINDOW;
+        let mut matches = 0u64;
+        while let Some(&p) = positions.get(i).filter(|&&p| (p as usize) < end) {
+            matches |= 1 << (p as usize - base);
+            i += 1;
+        }
+        fold.dense(base, matches);
+        sparse = i;
+    }
+    for batch in positions[sparse..].chunks(BATCH) {
+        fold.sparse(batch);
+    }
+    fold.finish();
 }
 
 /// The naive scalar oracle the fused path is tested against: a plain row

@@ -905,6 +905,42 @@ impl BitPackedVec {
         it
     }
 
+    /// [`crate::IndexVector::gather`] on this layout; the caller has checked
+    /// the bounds (the `avx512` tier checks them again, since its loads rely
+    /// on them).
+    pub(crate) fn gather(&self, positions: &[u32], offset: usize, out: &mut [u32]) {
+        match tier() {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => Avx512::proved().gather(self, positions, offset, out),
+            _ => {
+                for (code, &pos) in out.iter_mut().zip(positions) {
+                    *code = self.decode_at(pos as usize + offset);
+                }
+            }
+        }
+    }
+
+    /// Decodes rows `start..start + out.len()` into `out` with the word
+    /// cursor. The caller has checked the bounds.
+    #[inline]
+    pub(crate) fn decode_cursor(&self, start: usize, out: &mut [u32]) {
+        let codes = self.iter_range(start..start + out.len());
+        for (code, value) in out.iter_mut().zip(codes) {
+            *code = value;
+        }
+    }
+
+    /// A contiguous decoder over this vector, its tier's constants built
+    /// once: see [`PackedRows::decode`].
+    pub(crate) fn rows(&self) -> PackedRows<'_> {
+        PackedRows {
+            v: self,
+            #[cfg(target_arch = "x86_64")]
+            unpack: (tier() == KernelTier::Avx512)
+                .then(|| Box::new(Avx512::proved().row_unpack(self))),
+        }
+    }
+
     /// The word-parallel mask kernel for any encoded predicate. For every
     /// window of 1..=64 consecutive rows of `positions` it calls
     /// `sink(base, n, mask)`: bit `i` of `mask` (for `i < n`) is set iff row
@@ -1323,6 +1359,32 @@ impl BitPackedVec {
     }
 }
 
+/// The contiguous decoder of one [`BitPackedVec`], made by
+/// `BitPackedVec::rows` on the tier then in force.
+pub(crate) struct PackedRows<'a> {
+    v: &'a BitPackedVec,
+    /// The `avx512` tier's block unpack of the vector.
+    #[cfg(target_arch = "x86_64")]
+    unpack: Option<Box<avx512::RowUnpack<'a>>>,
+}
+
+impl PackedRows<'_> {
+    /// Decodes rows `start..start + out.len()` into `out`; the caller has
+    /// checked the bounds. The `avx512` tier unpacks whole blocks of 16
+    /// codes (8 from bitcase 26 up, in 64-bit lanes) from the first row
+    /// divisible by 8 on, as far as a block's 64-byte load stays inside the
+    /// payload, and takes the word cursor for the rows around them; the other
+    /// tiers take the word cursor ([`BitPackedIter`]) throughout.
+    #[inline]
+    pub(crate) fn decode(&self, start: usize, out: &mut [u32]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(unpack) = &self.unpack {
+            return unpack.decode(start, out);
+        }
+        self.v.decode_cursor(start, out)
+    }
+}
+
 /// Word-cursor decoder over a [`BitPackedVec`] (sub-)range: loads each packed
 /// word once and shifts codes out of a register instead of recomputing a
 /// word/offset address per element.
@@ -1727,6 +1789,81 @@ mod tests {
                 lane_max,
             ])),
         ]
+    }
+
+    #[test]
+    fn decode_rows_matches_get_on_both_layouts_and_every_tier() {
+        use crate::column::IndexVector;
+        use crate::rle::RleVec;
+        for bits in 1..=32u8 {
+            // Runs of 1 to 7 equal codes, so the run-length layout both
+            // steps runs and fills several in one range.
+            let mixed = mixed_values(bits, 400);
+            let codes: Vec<u32> = (0..400).map(|i| mixed[i / (1 + i % 7)]).collect();
+            let packed = BitPackedVec::from_slice(bits, &codes);
+            let layouts =
+                [IndexVector::Rle(RleVec::from_bitpacked(&packed)), IndexVector::BitPacked(packed)];
+            on_every_tier(|tier| {
+                for iv in &layouts {
+                    let decoder = iv.row_decoder();
+                    let mut out = [u32::MAX; 131];
+                    let mut check = |start: usize, n: usize| {
+                        out.fill(u32::MAX);
+                        decoder.decode_rows(start, &mut out[..n]);
+                        let at = format!(
+                            "{:?} on {}: bitcase {bits}, rows {start}..+{n}",
+                            iv.layout(),
+                            tier.name()
+                        );
+                        assert_eq!(&out[..n], &codes[start..start + n], "{at}");
+                        assert!(
+                            out[n..].iter().all(|&c| c == u32::MAX),
+                            "{at}: wrote past the range"
+                        );
+                    };
+                    for n in 0..=130 {
+                        for residue in 0..64 {
+                            check(64 + residue, n);
+                        }
+                        check(codes.len() - n, n);
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn gather_matches_get_on_every_tier() {
+        for bits in 1..=32u8 {
+            let codes = mixed_values(bits, 700);
+            let v = BitPackedVec::from_slice(bits, &codes);
+            // Ascending rows with gaps of 0 to 12, up to the last row, as
+            // one batch and as batches of every length up to 19.
+            let positions: Vec<u32> =
+                (0..700u32).filter(|p| (p * 7 + u32::from(bits)) % 13 < 4 || *p == 699).collect();
+            on_every_tier(|tier| {
+                for offset in [0usize, 1, 37] {
+                    let rows: Vec<u32> =
+                        positions.iter().copied().filter(|&p| p as usize + offset < 700).collect();
+                    for batch in std::iter::once(&rows[..]).chain(rows.chunks(19)) {
+                        let mut out = vec![u32::MAX; batch.len() + 2];
+                        v.gather(batch, offset, &mut out);
+                        let expected: Vec<u32> =
+                            batch.iter().map(|&p| v.get(p as usize + offset)).collect();
+                        let at = format!("bitcase {bits} on {}, offset {offset}", tier.name());
+                        assert_eq!(&out[..batch.len()], expected, "{at}");
+                        assert!(out[batch.len()..].iter().all(|&c| c == u32::MAX), "{at}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn decode_rows_checks_the_range() {
+        use crate::column::IndexVector;
+        IndexVector::BitPacked(BitPackedVec::from_slice(8, &[1, 2, 3])).decode_rows(1, &mut [0; 3]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! The vector body covers the 64-aligned rows of a scan whose 64-byte block
 //! loads stay inside the payload; the rows before it and after it take the
-//! `bmi2` tier's window kernels, which the same host runs.
+//! `bmi2` tier's window kernels, which the same host runs. The contiguous
+//! decode ([`RowUnpack`]) reuses the block unpack, with the word cursor
+//! before and after its blocks.
 
 use std::arch::x86_64::*;
 use std::ops::Range;
@@ -65,6 +67,67 @@ impl Avx512 {
     ) -> usize {
         // SAFETY: an `Avx512` exists only where the tier was detected.
         unsafe { count_range(v, positions, min, max) }
+    }
+
+    /// The `avx512` tier of the bit-packed batch gather: the codes at rows
+    /// `offset + p`, for each `p` of `positions`, into the front of `out`.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `positions` or a row is out of bounds.
+    pub(super) fn gather(
+        self,
+        v: &BitPackedVec,
+        positions: &[u32],
+        offset: usize,
+        out: &mut [u32],
+    ) {
+        // SAFETY: an `Avx512` exists only where the tier was detected.
+        unsafe { gather(v, positions, offset, out) }
+    }
+
+    /// The block unpack of `v`'s codes, built once for many
+    /// [`RowUnpack::decode`] calls.
+    pub(super) fn row_unpack(self, v: &BitPackedVec) -> RowUnpack<'_> {
+        let (bits, wide) = (u32::from(v.bits), v.bits > 25);
+        // SAFETY: an `Avx512` exists only where the tier was detected.
+        let blocks = unsafe {
+            match wide {
+                true => Blocks::new::<true>(bits),
+                false => Blocks::new::<false>(bits),
+            }
+        };
+        let loadable = if wide { loadable_rows::<true>(v) } else { loadable_rows::<false>(v) };
+        RowUnpack { proof: self, v, blocks, wide, loadable }
+    }
+}
+
+/// The `avx512` tier's contiguous decode of one vector: the unpack
+/// constants of its blocks and the end of its loadable rows, built once per
+/// fold rather than once per call.
+pub(super) struct RowUnpack<'a> {
+    proof: Avx512,
+    v: &'a BitPackedVec,
+    blocks: Blocks,
+    /// Bitcases 26..=32: 8 codes per block in 64-bit lanes.
+    wide: bool,
+    /// [`loadable_rows`] of `v`.
+    loadable: usize,
+}
+
+impl RowUnpack<'_> {
+    /// Decodes rows `start..start + out.len()` into `out`. The caller has
+    /// checked the bounds.
+    #[inline]
+    pub(super) fn decode(&self, start: usize, out: &mut [u32]) {
+        let Avx512(()) = self.proof;
+        let (v, blocks, loadable) = (self.v, &self.blocks, self.loadable);
+        // SAFETY: the proof shows the tier was detected.
+        unsafe {
+            match self.wide {
+                true => decode_rows::<true>(v, blocks, loadable, start, out),
+                false => decode_rows::<false>(v, blocks, loadable, start, out),
+            }
+        }
     }
 }
 
@@ -141,15 +204,20 @@ impl Blocks {
     }
 }
 
+/// One past the last row a block can end on: a block starting at row `r`
+/// (divisible by 8) loads the 64 bytes from byte `r * bits / 8` on, which
+/// must end inside `v`'s words.
+fn loadable_rows<const WIDE: bool>(v: &BitPackedVec) -> usize {
+    (v.words.len() * 8)
+        .checked_sub(64)
+        .map_or(0, |room| room * 8 / usize::from(v.bits) + block_lanes(WIDE))
+}
+
 /// The vector body of `start..end`: its 64-aligned rows whose blocks' 64-byte
 /// loads all end inside `v`'s words, or the empty `end..end`.
 fn body_rows<const WIDE: bool>(v: &BitPackedVec, start: usize, end: usize) -> Range<usize> {
-    // A word of rows `[e - 64, e)` loads its last block at row `e - lanes`,
-    // byte `(e - lanes) * bits / 8`.
-    let loadable = (v.words.len() * 8)
-        .checked_sub(64)
-        .map_or(0, |room| (room * 8 / usize::from(v.bits) + block_lanes(WIDE)) & !63);
-    let (first, last) = (start.next_multiple_of(64), (end & !63).min(loadable));
+    let (first, last) =
+        (start.next_multiple_of(64), (end & !63).min(loadable_rows::<WIDE>(v) & !63));
     if first < last {
         first..last
     } else {
@@ -433,6 +501,107 @@ fn count_body<const WIDE: bool>(
     (count, body)
 }
 
+/// The rows of `start..end` the contiguous decode unpacks in whole blocks:
+/// from the first row divisible by 8, while a block fits in the rows and its
+/// load in the payload (`loadable`, from [`loadable_rows`]); or the empty
+/// `end..end`.
+#[inline]
+fn block_rows<const WIDE: bool>(loadable: usize, start: usize, end: usize) -> Range<usize> {
+    let (first, lanes) = (start.next_multiple_of(8), block_lanes(WIDE));
+    let last = end.min(loadable);
+    match first + lanes <= last {
+        true => first..first + (last - first) / lanes * lanes,
+        false => end..end,
+    }
+}
+
+/// Decodes rows `start..start + out.len()`: whole blocks from the first row
+/// divisible by 8 while a block fits in the rows and its load in the payload
+/// (where [`body_rows`] would stop), the word cursor before and after them.
+/// A block's lanes shifted right by `up` are its codes; wide lanes narrow to
+/// 32 bits on the store.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+#[inline]
+fn decode_rows<const WIDE: bool>(
+    v: &BitPackedVec,
+    blocks: &Blocks,
+    loadable: usize,
+    start: usize,
+    out: &mut [u32],
+) {
+    let (end, lanes) = (start + out.len(), block_lanes(WIDE));
+    let body = block_rows::<WIDE>(loadable, start, end);
+    assert!(
+        body.is_empty() || (body.end - lanes) * blocks.bits / 8 + 64 <= v.words.len() * 8,
+        "the decode must load inside the payload"
+    );
+    let (head, rest) = out.split_at_mut(body.start - start);
+    let (middle, tail) = rest.split_at_mut(body.len());
+    v.decode_cursor(start, head);
+    let count = _mm_cvtsi32_si128(blocks.up as i32);
+    let mut at = body.start * blocks.bits / 8;
+    for codes in middle.chunks_exact_mut(lanes) {
+        // SAFETY: the assert above keeps every block's load inside the
+        // payload.
+        let x = blocks.unpack::<WIDE>(unsafe { load(&v.words, at) });
+        // SAFETY: `codes` holds `lanes` codes: 64 bytes narrow, 32 wide.
+        unsafe {
+            match WIDE {
+                true => _mm256_storeu_si256(
+                    codes.as_mut_ptr().cast(),
+                    _mm512_cvtepi64_epi32(_mm512_srl_epi64(x, count)),
+                ),
+                false => _mm512_storeu_si512(codes.as_mut_ptr().cast(), _mm512_srl_epi32(x, count)),
+            }
+        }
+        at += blocks.block_bytes;
+    }
+    v.decode_cursor(body.end, tail);
+}
+
+/// The batch gather: 8 rows per `vpgatherqq`, each lane loading the 8 bytes
+/// from the byte holding its code's first bit and shifting the code down by
+/// the bit's offset in that byte (at most 7, so 57 bits remain for a code of
+/// at most 32). The rows after the last full 8 take the two-word decode.
+///
+/// # Safety
+/// The host runs the `avx512` tier.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn gather(v: &BitPackedVec, positions: &[u32], offset: usize, out: &mut [u32]) {
+    let out = &mut out[..positions.len()];
+    let Some(max) = positions.iter().copied().max() else {
+        return;
+    };
+    let last = max as usize + offset;
+    assert!(last < v.len, "position {last} out of bounds (len {})", v.len);
+    // A row below `len` starts at bit `row * bits < len * bits`, so its
+    // 8-byte load ends inside the payload's padding word. The multiply takes
+    // the low 32 bits of each row: wider rows take the two-word decode.
+    let beyond_u32 = u32::try_from(last).is_err();
+    let (codes, rest) =
+        if beyond_u32 { out.split_at_mut(0) } else { out.split_at_mut(positions.len() / 8 * 8) };
+    let (bits, lane) = (u64::from(v.bits), low_mask(u32::from(v.bits)));
+    let (offset_v, bits_v) = (_mm512_set1_epi64(offset as i64), _mm512_set1_epi64(bits as i64));
+    let (seven, lane_v) = (_mm512_set1_epi64(7), _mm512_set1_epi64(lane as i64));
+    let words = v.words.as_ptr();
+    for (rows, codes) in positions.chunks_exact(8).zip(codes.chunks_exact_mut(8)) {
+        // SAFETY: `rows` holds 8 `u32`s, 32 bytes.
+        let rows = unsafe { _mm256_loadu_si256(rows.as_ptr().cast()) };
+        let rows = _mm512_add_epi64(_mm512_cvtepu32_epi64(rows), offset_v);
+        let bit = _mm512_mul_epu32(rows, bits_v);
+        // SAFETY: every row is at most `last < len` and fits in 32 bits, so
+        // each lane loads inside the payload (see above).
+        let x = unsafe { _mm512_i64gather_epi64::<1>(_mm512_srli_epi64::<3>(bit), words.cast()) };
+        let code = _mm512_and_si512(_mm512_srlv_epi64(x, _mm512_and_si512(bit, seven)), lane_v);
+        // SAFETY: `codes` holds 8 `u32`s, 32 bytes.
+        unsafe { _mm256_storeu_si256(codes.as_mut_ptr().cast(), _mm512_cvtepi64_epi32(code)) };
+    }
+    let done = codes.len();
+    for (code, &pos) in rest.iter_mut().zip(&positions[done..]) {
+        *code = v.decode_at(pos as usize + offset);
+    }
+}
+
 /// [`BitPackedVec::scan_masks_batch`]: each block is unpacked once and
 /// tested against the union of the predicates, then, in a 64-row word with a
 /// union hit, against every predicate.
@@ -536,6 +705,64 @@ mod tests {
                 false => check_body_rows::<false>(bits),
             }
         }
+    }
+
+    /// Whether the last block the decode of `start..end` unpacks loads into
+    /// the final 64 bytes of the payload.
+    fn decode_reaches_the_end<const WIDE: bool>(
+        v: &BitPackedVec,
+        start: usize,
+        end: usize,
+    ) -> bool {
+        let body = block_rows::<WIDE>(loadable_rows::<WIDE>(v), start, end);
+        let bytes = v.words.len() * 8;
+        !body.is_empty() && {
+            let load_end = last_load_end::<WIDE>(v, &(body.start..body.end));
+            assert!(load_end <= bytes, "bitcase {}: a load ends at {load_end} of {bytes}", v.bits);
+            bytes - load_end < 64
+        }
+    }
+
+    #[test]
+    fn the_contiguous_decode_loads_into_the_final_64_bytes_and_matches_get() {
+        for bits in 1..=32u8 {
+            let mask = low_mask(u32::from(bits)) as u32;
+            // Some length puts the last block of a whole-vector decode into
+            // the final 64 bytes of the payload; every length keeps its
+            // loads inside it.
+            let len = (1024..1024 + 64 * 9)
+                .find(|&len| {
+                    let v = BitPackedVec::from_slice(bits, &vec![0; len]);
+                    match bits > 25 {
+                        true => decode_reaches_the_end::<true>(&v, 0, len),
+                        false => decode_reaches_the_end::<false>(&v, 0, len),
+                    }
+                })
+                .unwrap_or_else(|| panic!("bitcase {bits}: no decode reaches the final 64 bytes"));
+            if KernelTier::detected() < KernelTier::Avx512 {
+                continue;
+            }
+            let codes: Vec<u32> =
+                (0..len as u32).map(|i| i.wrapping_mul(2654435761).rotate_left(5) & mask).collect();
+            let v = BitPackedVec::from_slice(bits, &codes);
+            let unpack = Avx512::proved().row_unpack(&v);
+            let mut out = vec![u32::MAX; len];
+            for start in [0, 3, len - 600].into_iter().chain(len - 130..=len) {
+                unpack.decode(start, &mut out[start..]);
+                assert_eq!(&out[start..], &codes[start..], "bitcase {bits}, rows {start}..{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_gather_checks_its_rows_itself() {
+        if KernelTier::detected() < KernelTier::Avx512 {
+            return;
+        }
+        let v = BitPackedVec::from_slice(9, &[5; 100]);
+        let gathered =
+            std::panic::catch_unwind(|| Avx512::proved().gather(&v, &[3, 1, 100], 0, &mut [0; 3]));
+        assert!(gathered.is_err(), "row 100 of 100 must be rejected before any load");
     }
 
     #[test]

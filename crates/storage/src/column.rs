@@ -93,20 +93,12 @@ impl IndexVector {
         }
     }
 
-    /// Unchecked decode; the caller guarantees `pos < self.len()`.
-    #[inline]
-    pub(crate) fn decode_at(&self, pos: usize) -> u32 {
-        match self {
-            IndexVector::BitPacked(v) => v.decode_at(pos),
-            IndexVector::Rle(v) => v.decode_at(pos),
-        }
-    }
-
     /// Decodes the codes of rows `offset + p`, for each `p` of the ascending
     /// `positions`, into the front of `out`: a batch gather. Bounds are
     /// checked once per batch, on its greatest row; the bit-packed layout
-    /// then decodes in a loop, and the run-length layout walks its runs with
-    /// a cursor.
+    /// then decodes 8 rows per AVX-512 gather on the `avx512` tier and one
+    /// two-word decode per row on the others, and the run-length layout
+    /// walks its runs with a cursor.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `positions`, if a row is out of
@@ -119,13 +111,30 @@ impl IndexVector {
         let max = max as usize + offset;
         assert!(max < self.len(), "position {max} out of bounds (len {})", self.len());
         match self {
-            IndexVector::BitPacked(v) => {
-                for (code, &pos) in out.iter_mut().zip(positions) {
-                    *code = v.decode_at(pos as usize + offset);
-                }
-            }
+            IndexVector::BitPacked(v) => v.gather(positions, offset, out),
             IndexVector::Rle(v) => v.gather(positions, offset, out),
         }
+    }
+
+    /// Decodes the codes of the contiguous rows `start..start + out.len()`
+    /// into `out`, with one bounds check for the whole range. A fold that
+    /// decodes many ranges of one vector builds a [`RowDecoder`] once
+    /// instead ([`IndexVector::row_decoder`]): this call builds one per call.
+    ///
+    /// # Panics
+    /// Panics if a row of the range is out of bounds.
+    pub fn decode_rows(&self, start: usize, out: &mut [u32]) {
+        self.row_decoder().decode_rows(start, out);
+    }
+
+    /// A decoder of contiguous row ranges of this vector, with the kernel
+    /// tier's unpack constants built once for all its calls.
+    pub fn row_decoder(&self) -> RowDecoder<'_> {
+        let rows = match self {
+            IndexVector::BitPacked(v) => Rows::BitPacked(v.rows()),
+            IndexVector::Rle(v) => Rows::Rle(v),
+        };
+        RowDecoder { len: self.len(), rows }
     }
 
     /// Iterates over all stored values.
@@ -190,6 +199,47 @@ impl IndexVector {
         match self {
             IndexVector::BitPacked(v) => (rows as u64 * u64::from(v.bits())).div_ceil(8),
             IndexVector::Rle(v) => v.scan_bytes(rows),
+        }
+    }
+}
+
+/// Decodes contiguous row ranges of one [`IndexVector`]
+/// ([`IndexVector::row_decoder`]). On the bit-packed layout the `avx512`
+/// tier unpacks 16 codes per 64-byte load and shift (8 codes in 64-bit lanes
+/// from bitcase 26 up), from the range's first row divisible by 8 as far as
+/// its loads stay inside the payload, and takes the word cursor
+/// ([`BitPackedIter`]) for the rows around those blocks; the `bmi2` and
+/// `portable` tiers take the word cursor throughout. The run-length layout
+/// fills the range run by run.
+pub struct RowDecoder<'a> {
+    /// Rows in the vector.
+    len: usize,
+    rows: Rows<'a>,
+}
+
+/// The layout half of a [`RowDecoder`].
+enum Rows<'a> {
+    BitPacked(crate::bitpack::PackedRows<'a>),
+    Rle(&'a RleVec),
+}
+
+impl RowDecoder<'_> {
+    /// Decodes the codes of rows `start..start + out.len()` into `out`, with
+    /// one bounds check for the whole range.
+    ///
+    /// # Panics
+    /// Panics if a row of the range is out of bounds.
+    #[inline]
+    pub fn decode_rows(&self, start: usize, out: &mut [u32]) {
+        let (len, end) = (self.len, start.checked_add(out.len()));
+        assert!(
+            end.is_some_and(|end| end <= len),
+            "rows {start}..+{} out of bounds (len {len})",
+            out.len()
+        );
+        match &self.rows {
+            Rows::BitPacked(rows) => rows.decode(start, out),
+            Rows::Rle(v) => v.decode_rows(start, out),
         }
     }
 }

@@ -50,7 +50,7 @@ pub mod zonemap;
 
 pub use bitpack::{BitPackedIter, BitPackedVec, KernelTier};
 pub use bitvector::BitVector;
-pub use column::{DictColumn, IndexVector, IvIter, IvLayoutKind};
+pub use column::{DictColumn, IndexVector, IvIter, IvLayoutKind, RowDecoder};
 pub use dictionary::Dictionary;
 pub use materialize::materialize_positions;
 pub use partition::{ivp_ranges, PhysicalPartition, PhysicalPartitioning};

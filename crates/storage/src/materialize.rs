@@ -7,27 +7,34 @@
 //! dictionary, which is why the paper classifies high-selectivity executions
 //! as CPU-intensive rather than memory-intensive.
 //!
-//! The index-vector reads use the branch-free two-word decoder: positions are
-//! bounds-checked once per batch, then every gather is a pair of overlapping
-//! word loads with no per-element assert or straddle branch.
+//! The index-vector reads go through [`crate::IndexVector::gather`] in batches of
+//! 256 positions: each batch is bounds-checked once, on its greatest
+//! row, then the bit-packed layout decodes it with the branch-free two-word
+//! decoder and the run-length layout walks its runs with a cursor, instead
+//! of a binary search over the runs per row.
 
-use crate::column::{DictColumn, IndexVector};
+use crate::column::DictColumn;
 use crate::value::DictValue;
 
-/// Validates a batch of positions once so the per-element decode can skip its
-/// bounds assert.
-fn check_positions(iv: &IndexVector, positions: &[u32]) {
-    if let Some(&max) = positions.iter().max() {
-        assert!((max as usize) < iv.len(), "position {max} out of bounds (len {})", iv.len());
-    }
-}
+/// Positions gathered per [`crate::IndexVector::gather`] call.
+const BATCH: usize = 256;
 
-/// Materializes the values of the given row positions.
+/// Materializes the values of the given row positions, which must ascend (as
+/// every scan emits them).
+///
+/// # Panics
+/// Panics if a position is out of bounds — each batch is checked before any
+/// of its rows is read — or, on the run-length layout, if the positions do
+/// not ascend.
 pub fn materialize_positions<T: DictValue>(column: &DictColumn<T>, positions: &[u32]) -> Vec<T> {
-    let iv = column.index_vector();
-    let dict = column.dictionary();
-    check_positions(iv, positions);
-    positions.iter().map(|&p| dict.value(iv.decode_at(p as usize)).clone()).collect()
+    let (iv, dict) = (column.index_vector(), column.dictionary());
+    let mut codes = [0u32; BATCH];
+    let mut values = Vec::with_capacity(positions.len());
+    for batch in positions.chunks(BATCH) {
+        iv.gather(batch, 0, &mut codes);
+        values.extend(codes[..batch.len()].iter().map(|&code| dict.value(code).clone()));
+    }
+    values
 }
 
 #[cfg(test)]
@@ -56,6 +63,18 @@ mod tests {
     fn out_of_bounds_positions_are_rejected_up_front() {
         let col = column();
         materialize_positions(&col, &[0, 4999, 5000]);
+    }
+
+    #[test]
+    fn a_run_length_column_materializes_what_get_reads() {
+        // Runs of 1 to 9 equal values, so the cursor both steps to the next
+        // run and skips past several, over more than one batch.
+        let values: Vec<i64> = (0..3000i64).map(|i| (i / (1 + i % 9)) % 200).collect();
+        let mut col = DictColumn::from_values("c", &values);
+        col.relayout(crate::column::IvLayoutKind::Rle);
+        let positions: Vec<u32> = (0..3000u32).filter(|p| p % 7 < 3 || p % 97 == 0).collect();
+        let expected: Vec<i64> = positions.iter().map(|&p| *col.value_at(p as usize)).collect();
+        assert_eq!(materialize_positions(&col, &positions), expected);
     }
 
     #[test]

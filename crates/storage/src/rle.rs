@@ -163,6 +163,21 @@ impl RleVec {
         }
     }
 
+    /// [`crate::IndexVector::decode_rows`] on this layout: the rows from
+    /// `start` on, filled run by run from the run holding `start`. The caller
+    /// has checked the bounds.
+    pub(crate) fn decode_rows(&self, start: usize, out: &mut [u32]) {
+        if out.is_empty() {
+            return;
+        }
+        let (end, mut run, mut row) = (start + out.len(), self.run_index(start), start);
+        while row < end {
+            let run_end = self.run_end(run).min(end);
+            out[row - start..run_end - start].fill(self.vids[run]);
+            (row, run) = (run_end, run + 1);
+        }
+    }
+
     /// Reads the element at `pos`.
     ///
     /// # Panics

@@ -1277,11 +1277,20 @@ proptest! {
     /// filter, and a zero deadline — which answers the oracle or a typed
     /// `DeadlineExceeded`, never a wrong result, and leaves the session
     /// serving the next statement correctly.
+    ///
+    /// The window fold's paths ride along too: value domains of a few
+    /// values (the fold counts (group, value) cells) or of about one per row
+    /// (it folds rows), values near `i64::MAX` whose count × value products
+    /// wrap, and ranges selecting about a quarter of the rows (windows on
+    /// both sides of the dense threshold) or all of them (all-ones windows).
     #[test]
     fn fused_aggregation_matches_the_scalar_oracle(
         rows in 0usize..2_400,
         tiny in any::<bool>(),
         in_list in any::<bool>(),
+        shape in 0u8..3,
+        few_values in any::<bool>(),
+        wrapping in any::<bool>(),
         seed in any::<u64>(),
         placement_pick in 0u8..3,
         shared in any::<bool>(),
@@ -1312,8 +1321,13 @@ proptest! {
             (state >> 33) as i64
         };
         let filter: Vec<i64> = (0..rows).map(|_| next().rem_euclid(140)).collect();
-        let value: Vec<i64> =
-            (0..rows).map(|_| next().rem_euclid(2 * value_magnitude) - value_magnitude).collect();
+        let value: Vec<i64> = (0..rows)
+            .map(|_| match (few_values, wrapping) {
+                (true, true) => i64::MAX - next().rem_euclid(4) * value_magnitude,
+                (true, false) => next().rem_euclid(6) * value_magnitude - 2 * value_magnitude,
+                _ => next().rem_euclid(2 * value_magnitude) - value_magnitude,
+            })
+            .collect();
         let group: Vec<i64> = (0..rows).map(|_| next().rem_euclid(group_cardinality)).collect();
         let table = TableBuilder::new("t")
             .add_values("filter", &filter, false)
@@ -1335,10 +1349,16 @@ proptest! {
         }
         // The filter domain is 0..140: an IN-list mixes values inside it
         // with values the dictionary never saw.
-        let scan = if in_list {
-            ScanRequest::in_list("filter", vec![lo, lo + width, 140, -7, lo.rem_euclid(140)])
-        } else {
-            ScanRequest::between("filter", lo, lo + width)
+        // A range of 35 of the 140 filter values selects about a quarter of
+        // the rows, so window densities straddle the dense threshold.
+        let quarter = lo.rem_euclid(106);
+        let scan = match (in_list, shape) {
+            (true, _) => {
+                ScanRequest::in_list("filter", vec![lo, lo + width, 140, -7, lo.rem_euclid(140)])
+            }
+            (false, 0) => ScanRequest::between("filter", lo, lo + width),
+            (false, 1) => ScanRequest::between("filter", quarter, quarter + 34),
+            (false, _) => ScanRequest::between("filter", -1, 140),
         };
         let request = scan.clone().with_aggregate(spec.clone());
 
@@ -1370,11 +1390,12 @@ proptest! {
         prop_assert_eq!(
             &got,
             &expected,
-            "fused aggregation diverged under placement {:?} shared {} rle {} chunk {}",
+            "fused aggregation diverged under placement {:?} shared {} rle {} chunk {} shape {}",
             placement,
             shared,
             rle,
-            chunk_rows
+            chunk_rows,
+            shape
         );
 
         // The same predicate as a plain scan answers exactly a plain filter.
@@ -1430,4 +1451,111 @@ fn fused_sum_overflow_wraps_identically_to_the_oracle() {
     assert_eq!(got, expected, "fused and oracle sums must wrap identically");
     let wrapped = i64::MAX.wrapping_add(i64::MAX).wrapping_add(7).wrapping_add(i64::MIN);
     assert_eq!(got.global_row(), vec![AggValue::Int(wrapped)]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Both entry points of the window fold — the mask stream
+    /// (`accumulate_filtered`, the private path) and ascending position lists
+    /// cut into sweep chunks (`accumulate_positions`, the shared path) —
+    /// answer what the scalar oracle answers, called directly so that every
+    /// path of the fold is reached on purpose: value domains on both sides of
+    /// the (group, value) cell rule, windows around the dense threshold and
+    /// all-ones windows, run-length value and group columns, a filter part
+    /// rebuilt physically (part-local positions shifted by a row offset), and
+    /// count × value products that wrap.
+    #[test]
+    fn window_fold_entry_points_match_the_oracle(
+        rows in 0usize..3_000,
+        seed in any::<u64>(),
+        few_values in any::<bool>(),
+        wrapping in any::<bool>(),
+        run_length in 1usize..40,
+        group_cardinality in 1i64..6,
+        selected in 0i64..=100,
+        rle_value in any::<bool>(),
+        rle_group in any::<bool>(),
+        split_at in 0usize..3_000,
+        positions_path in any::<bool>(),
+        chunk_rows in 1usize..700,
+    ) {
+        use numascan::core::aggregate::{
+            accumulate_filtered, accumulate_positions, dense_group_capacity, GroupAccumulator,
+            RowReader,
+        };
+        use numascan::core::{oracle_aggregate, AggFunc, AggSpec};
+        use numascan::storage::TableBuilder;
+
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as i64
+        };
+        // The filter selects `selected` of every 100 rows on average (100
+        // makes every window all-ones); the value and group columns hold runs
+        // of `run_length` equal values.
+        let filter: Vec<i64> = (0..rows).map(|_| next().rem_euclid(100)).collect();
+        let mut value = Vec::with_capacity(rows);
+        let mut group = Vec::with_capacity(rows);
+        while value.len() < rows {
+            let v = match (few_values, wrapping) {
+                (true, true) => i64::MAX - next().rem_euclid(3),
+                (true, false) => next().rem_euclid(7) - 3,
+                (false, true) => i64::MIN + next().rem_euclid(1 << 40),
+                (false, false) => next() - (1 << 30),
+            };
+            let g = next().rem_euclid(group_cardinality);
+            for _ in 0..run_length.min(rows - value.len()) {
+                value.push(v);
+                group.push(g);
+            }
+        }
+        let table = TableBuilder::new("t")
+            .add_values("filter", &filter, false)
+            .add_values("value", &value, false)
+            .add_values("group", &group, false)
+            .build();
+        let column = |name: &str| table.column_by_name(name).expect("known column").1.clone();
+        let (filter_col, mut value_col, mut group_col) =
+            (column("filter"), column("value"), column("group"));
+        if rle_value {
+            value_col.relayout(IvLayoutKind::Rle);
+        }
+        if rle_group {
+            group_col.relayout(IvLayoutKind::Rle);
+        }
+
+        let funcs = vec![AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
+        let mut spec = AggSpec::new("value", funcs);
+        let group_col = (group_cardinality > 1).then_some(&group_col);
+        if group_col.is_some() {
+            spec = spec.with_group_by("group");
+        }
+        let predicate = Predicate::Between { lo: 0, hi: selected - 1 };
+        let capacity = group_col.map_or(1, |g| dense_group_capacity(g.dictionary().len()));
+        let mut acc = GroupAccumulator::new(capacity);
+
+        // Rows before `split` are scanned in the base column, the rest in a
+        // part rebuilt from them (its own dictionary, part-local positions).
+        let split = split_at.min(rows);
+        let part = filter_col.rebuild_range("filter#part", split..rows, false);
+        for (filter, offset) in [(&filter_col, 0), (&part, split)] {
+            let rows = if offset == 0 { 0..split } else { 0..part.row_count() };
+            let encoded = predicate.encode(filter.dictionary());
+            let reader = RowReader::new(&value_col, group_col, offset);
+            if positions_path {
+                // Sweep chunks of `chunk_rows` rows, each folded on its own.
+                for start in rows.clone().step_by(chunk_rows) {
+                    let chunk = start..(start + chunk_rows).min(rows.end);
+                    let positions = scan_positions(filter, chunk, &encoded);
+                    accumulate_positions(&positions, &reader, &mut acc);
+                }
+            } else {
+                accumulate_filtered(filter, rows, &encoded, &reader, &mut acc);
+            }
+        }
+        let got = acc.into_table(&spec, group_col);
+        prop_assert_eq!(got, oracle_aggregate(&table, "filter", &predicate, &spec));
+    }
 }

@@ -18,7 +18,7 @@
 //!    separately and holds in any build.
 
 use std::collections::HashMap;
-use std::sync::Barrier;
+use std::sync::{Barrier, OnceLock};
 use std::time::Instant;
 
 mod common;
@@ -267,32 +267,42 @@ const GATE_QUERIES: usize = 4;
 /// baseline scan artificially cheap.
 const GATE_COLUMN: &str = "id";
 
-/// One gate replay: all clients start on a barrier, hammer the hot column,
-/// and verify their own results against the precomputed oracle.
+/// One gate replay: every client thread is spawned first and waits on a
+/// barrier. The clock starts when the last client arrives and releases the
+/// others (`std`'s barrier makes that thread the leader, which is running
+/// at that instant), and stops when the last client has verified its final
+/// statement against the precomputed oracle. Spawning and joining the
+/// threads stay outside the measured wall time.
 fn gate_replay(
     mode: SharedScanMode,
     oracles: &HashMap<(i64, i64), Vec<i64>>,
 ) -> (f64, SessionManager) {
     let session = session(GATE_ROWS, PlacementStrategy::RoundRobin, mode);
-    let barrier = Barrier::new(GATE_CLIENTS);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..GATE_CLIENTS {
-            let session = &session;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                barrier.wait();
-                for query in 0..GATE_QUERIES {
-                    let (lo, hi) = gate_bounds(client, query);
-                    let request = ScanRequest::between(GATE_COLUMN, lo, hi);
-                    let got = session.execute(&request).expect("known column").into_rows();
-                    let expected = &oracles[&(lo, hi)];
-                    assert_eq!(&got, expected, "{mode:?}: diverged for {request:?}");
-                }
-            });
-        }
+    let (barrier, released) = (Barrier::new(GATE_CLIENTS), OnceLock::new());
+    let finished = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..GATE_CLIENTS)
+            .map(|client| {
+                let (session, barrier, released) = (&session, &barrier, &released);
+                scope.spawn(move || {
+                    if barrier.wait().is_leader() {
+                        released.set(Instant::now()).expect("one leader per barrier");
+                    }
+                    for query in 0..GATE_QUERIES {
+                        let (lo, hi) = gate_bounds(client, query);
+                        let request = ScanRequest::between(GATE_COLUMN, lo, hi);
+                        let got = session.execute(&request).expect("known column").into_rows();
+                        let expected = &oracles[&(lo, hi)];
+                        assert_eq!(&got, expected, "{mode:?}: diverged for {request:?}");
+                    }
+                    Instant::now()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client panicked")).max()
     });
-    (started.elapsed().as_secs_f64(), session)
+    let released = released.get().expect("the barrier released the clients");
+    let wall = finished.expect("the gate has clients").saturating_duration_since(*released);
+    (wall.as_secs_f64(), session)
 }
 
 /// The hot-column bounds of one statement: selective ranges over recent ids
